@@ -2,7 +2,9 @@
 
 The SVD itself is delegated to LAPACK (via numpy); everything here is
 defined by contract on the factors: reconstruction within 1e-8 relative,
-orthonormal columns within 1e-10.
+orthonormal columns within 1e-10.  The solver's thresholding can instead
+run a warm-started partial SVD (``WarmStart``), since its iterates are low
+rank and everything below the threshold is discarded anyway.
 """
 
 from dataclasses import dataclass
@@ -50,17 +52,83 @@ def svt(M, alpha):
     return out
 
 
-def svt_with_values(M, alpha):
+class WarmStart:
+    """Start basis that carries one matrix's right singular subspace from
+    one ``svt_with_values`` call to the next.
+
+    ``basis`` is None until the first call, which then takes a full SVD.
+    Each call leaves behind the kept right Ritz vectors plus the next
+    OVERSAMPLE of them, orthonormal columns of an n x w array.
+    """
+
+    def __init__(self):
+        self.basis = None
+
+
+# Ritz vectors kept beyond the kept rank, so the next call can see the rank grow.
+OVERSAMPLE = 6
+# Subspace iterations M^T M per block before the Rayleigh-Ritz step.
+POWER_STEPS = 2
+# A block is accepted once this many of its Ritz values fall below alpha.
+TAIL_BELOW = 2
+# Seed of the Gaussian columns that widen a block found too small.
+GROW_SEED = 0x5B7D_11F0
+
+
+def _orth(A):
+    return np.linalg.qr(A)[0]
+
+
+def _partial_svd(M, alpha, V):
+    """Leading singular triplets of M from a warm start basis V (n x w).
+
+    Block subspace iteration with a Rayleigh-Ritz step (Halko, Martinsson
+    and Tropp 2011, arXiv:0909.4061).  The block doubles, with extra
+    columns from rtd.rng, until TAIL_BELOW Ritz values fall below alpha;
+    returns None once it would exceed min(m, n) / 4, where a full SVD is
+    cheaper.
+    """
+    m, n = M.shape
+    limit = min(m, n) // 4
+    while V.shape[1] <= limit:
+        Q = V
+        for _ in range(POWER_STEPS):
+            Q = _orth(M.T @ _orth(M @ Q))
+        Q = _orth(M @ Q)
+        Ub, S, Vt = np.linalg.svd(Q.T @ M, full_matrices=False)
+        if S.size >= TAIL_BELOW and S[-TAIL_BELOW] < alpha:
+            return Q @ Ub, S, Vt
+        w = V.shape[1]
+        extra = gaussians(n * w, derive_seed(GROW_SEED, w)).reshape(n, w)
+        V = _orth(np.hstack([Vt.T, extra]))
+    return None
+
+
+def svt_with_values(M, alpha, warm=None):
     """svt plus the thresholded singular values (their sum is the nuclear
-    norm of the result, which the solver logs for free)."""
+    norm of the result, which the solver logs for free).
+
+    ``values`` has length min(m, n).  Without ``warm`` this is an exact
+    full SVD.  With a ``WarmStart`` it is ``_partial_svd`` from the
+    subspace the previous call kept, accurate to the subspace iteration,
+    and ``warm`` is advanced; the full SVD still runs on the first call and
+    whenever the block would exceed min(m, n) / 4.
+    """
     M = _as_finite_matrix(M)
-    U, S, Vt = np.linalg.svd(M, full_matrices=False)
+    factors = None
+    if warm is not None and warm.basis is not None:
+        factors = _partial_svd(M, alpha, warm.basis)
+    if factors is None:
+        factors = np.linalg.svd(M, full_matrices=False)
+    U, S, Vt = factors
     shrunk = S - alpha
-    keep = shrunk > 0.0
-    values = np.where(keep, shrunk, 0.0)
-    if not keep.any():
+    k = int((shrunk > 0.0).sum())  # S is nonincreasing, so the kept ones are a prefix
+    values = np.zeros(min(M.shape))
+    values[:k] = shrunk[:k]
+    if warm is not None:
+        warm.basis = np.ascontiguousarray(Vt[: k + OVERSAMPLE].T)
+    if k == 0:
         return np.zeros_like(M), values
-    k = int(keep.sum())  # S is nonincreasing, so keep is a prefix
     out = (U[:, :k] * shrunk[:k]) @ Vt[:k, :]
     return out, values
 

@@ -62,15 +62,20 @@ def random_permutation(count, seed):
     """Uniform permutation of range(count) via Fisher-Yates over splitmix64.
 
     The shuffle walks i = count-1 .. 1 and swaps position i with
-    j = (u64 * (i+1)) >> 64 where u64 is the next stream output.
+    j = (u64 * (i+1)) >> 64 where u64 is the next stream output.  All j are
+    computed at once as a multiply-high on 32-bit limbs, which is exact
+    while i+1 <= 2**32; only the swaps run in Python.
     """
+    if count > 1 << 32:
+        raise ValueError(f"permutation of {count} entries exceeds 2**32")
     perm = list(range(count))
     if count >= 2:
-        draws = bulk_u64(seed, count - 1)
-        t = 0
-        for i in range(count - 1, 0, -1):
-            j = (int(draws[t]) * (i + 1)) >> 64
-            t += 1
+        u = bulk_u64(seed, count - 1)
+        bound = np.arange(count, 1, -1, dtype=np.uint64)  # i + 1
+        low = (u & np.uint64(0xFFFFFFFF)) * bound
+        high = (u >> np.uint64(32)) * bound
+        draws = (high + (low >> np.uint64(32))) >> np.uint64(32)
+        for i, j in zip(range(count - 1, 0, -1), draws.tolist()):
             perm[i], perm[j] = perm[j], perm[i]
     return np.asarray(perm, dtype=np.intp)
 

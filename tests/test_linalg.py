@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import rtd.linalg as linalg_mod
 from rtd.errors import BadRank, NonFinite
 from rtd.linalg import (
+    OVERSAMPLE,
     RANK_CUTOFF,
+    WarmStart,
     nuclear_norm,
     numerical_rank,
     random_semi_orthonormal_pair,
@@ -12,7 +15,7 @@ from rtd.linalg import (
     svt,
     svt_with_values,
 )
-from rtd.rng import gaussians
+from rtd.rng import derive_seed, gaussians
 
 
 def random_matrix(m, n, seed):
@@ -133,3 +136,114 @@ def test_semi_orthonormal_bad_rank():
         random_semi_orthonormal_pair(4, 0, 0)
     with pytest.raises(BadRank):
         random_semi_orthonormal_pair(4, 5, 0)
+
+
+def orthonormal(n, k, seed):
+    return np.linalg.qr(random_matrix(n, k, seed))[0]
+
+
+def gapped_matrix(m, n, top, seed, tail=0.3):
+    """Singular values ``top`` followed by a geometric tail from ``tail`` down."""
+    k = min(m, n)
+    U = orthonormal(m, k, derive_seed(seed, 0))
+    V = orthonormal(n, k, derive_seed(seed, 1))
+    S = np.concatenate([top, tail * 0.9 ** np.arange(k - len(top))])
+    return (U * S) @ V.T
+
+
+@pytest.fixture
+def partial_calls(monkeypatch):
+    """Results of every _partial_svd call: None means the full SVD ran."""
+    calls = []
+    real = linalg_mod._partial_svd
+
+    def spy(M, alpha, V):
+        calls.append(real(M, alpha, V))
+        return calls[-1]
+
+    monkeypatch.setattr(linalg_mod, "_partial_svd", spy)
+    return calls
+
+
+@pytest.fixture
+def grow_draws(monkeypatch):
+    """Count of Gaussian blocks drawn to widen a partial SVD."""
+    draws = []
+    real = linalg_mod.gaussians
+
+    def spy(count, seed):
+        draws.append(count)
+        return real(count, seed)
+
+    monkeypatch.setattr(linalg_mod, "gaussians", spy)
+    return draws
+
+
+def test_warm_partial_svt_matches_full(partial_calls):
+    for m, n, seed in ((80, 60, 1), (60, 80, 2), (100, 100, 3)):
+        M = gapped_matrix(m, n, [9.0, 7.0, 5.0, 4.0, 3.0], seed)
+        nearby = M + 0.01 * gaussians(m * n, derive_seed(seed, 7)).reshape(m, n)
+        warm = WarmStart()
+        partial_calls.clear()
+        svt_with_values(nearby, 1.0, warm)  # first call: full SVD
+        assert partial_calls == []
+        assert warm.basis.shape == (n, 5 + OVERSAMPLE)
+        out, values = svt_with_values(M, 1.0, warm)
+        assert partial_calls[-1] is not None
+        expect, expect_values = svt_with_values(M, 1.0)
+        assert values.shape == (min(m, n),)
+        assert np.abs(out - expect).max() <= 1e-8
+        assert np.abs(values - expect_values).max() <= 1e-8
+        assert warm.basis.shape == (n, 5 + OVERSAMPLE)
+
+
+def test_partial_svt_grows_a_small_block(partial_calls, grow_draws):
+    M = gapped_matrix(120, 120, np.arange(11.0, 1.0, -1.0), 4, tail=0.01)
+    warm = WarmStart()
+    warm.basis = orthonormal(120, 3, 5)
+    out, values = svt_with_values(M, 0.5, warm)
+    assert partial_calls[-1] is not None
+    assert grow_draws == [120 * 3, 120 * 6]  # 3 -> 6 -> 12 columns
+    expect, expect_values = svt_with_values(M, 0.5)
+    assert np.abs(out - expect).max() <= 1e-8
+    assert np.abs(values - expect_values).max() <= 1e-8
+    assert warm.basis.shape == (120, 12)
+
+
+def test_partial_svt_falls_back_above_quarter_size(partial_calls, grow_draws):
+    M = random_matrix(40, 40, 6)
+    expect = svt(M, 1e-3)
+    # A start block wider than min(m, n) / 4 goes straight to the full SVD.
+    warm = WarmStart()
+    warm.basis = orthonormal(40, 11, 7)
+    assert np.array_equal(svt_with_values(M, 1e-3, warm)[0], expect)
+    assert partial_calls == [None] and grow_draws == []
+    # A full-rank matrix keeps growing the block past the limit.
+    warm.basis = orthonormal(40, 4, 7)
+    assert np.array_equal(svt_with_values(M, 1e-3, warm)[0], expect)
+    assert partial_calls == [None, None] and grow_draws == [40 * 4, 40 * 8]
+
+
+def test_partial_svt_large_alpha_gives_zero(partial_calls):
+    M = gapped_matrix(64, 64, [4.0, 2.0], 8)
+    warm = WarmStart()
+    warm.basis = orthonormal(64, OVERSAMPLE, 9)
+    out, values = svt_with_values(M, spectral_norm(M), warm)
+    assert partial_calls[-1] is not None
+    assert not out.any()
+    assert values.shape == (64,) and not values.any()
+    assert warm.basis.shape == (64, OVERSAMPLE)
+
+
+def test_partial_svt_reruns_identical():
+    def run():
+        warm = WarmStart()
+        warm.basis = orthonormal(96, 2, 3)
+        outs = []
+        for seed in range(4):
+            M = gapped_matrix(96, 96, np.arange(8.0, 0.0, -1.0), 10 + seed)
+            out, values = svt_with_values(M, 0.5, warm)
+            outs += [out.tobytes(), values.tobytes(), warm.basis.tobytes()]
+        return outs
+
+    assert run() == run()

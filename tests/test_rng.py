@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from rtd.rng import (
     GOLDEN,
@@ -59,6 +60,22 @@ def test_permutation_frozen_trace():
 def test_permutation_matches_reference():
     for count, seed in [(1, 0), (2, 3), (17, 11), (64, 9)]:
         assert list(random_permutation(count, seed)) == reference_permutation(count, seed)
+
+
+def test_permutation_matches_bounded_draws():
+    for count in (0, 1, 2, 65536):
+        sm = SplitMix64(count + 3)
+        perm = list(range(count))
+        for i in range(count - 1, 0, -1):
+            j = sm.bounded(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        assert random_permutation(count, count + 3).tolist() == perm
+
+
+def test_permutation_count_guard():
+    # Checked before anything is allocated.
+    with pytest.raises(ValueError):
+        random_permutation((1 << 32) + 1, 0)
 
 
 def test_permutation_is_bijection():

@@ -109,14 +109,31 @@ def test_deterministic_reruns():
 def test_divergence_detected(monkeypatch):
     real = solver_mod.svt_with_values
 
-    def amplify(M, alpha):
-        out, values = real(M, alpha)
+    def amplify(M, alpha, warm=None):
+        out, values = real(M, alpha, warm)
         return 10.0 * out, values
 
     monkeypatch.setattr(solver_mod, "svt_with_values", amplify)
     problem, _ = two_component_problem()
     with pytest.raises(DivergenceDetected):
         decompose(problem, SolverConfig(max_iter=2000, tol=1e-12))
+
+
+def test_gather_rebuild_matches_scatter_path(monkeypatch):
+    def scatter_rebuild(out, ops, comps):
+        out[:] = 0.0
+        for op, a in zip(ops, comps):
+            out[op.perm] += a.ravel()
+
+    for n, r, seed in ((12, 1, 0), (40, 2, 5), (48, 3, 9)):
+        problem, _ = two_component_problem(n=n, r=r, seed=seed)
+        gathered = decompose(problem)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_mod, "_rebuild_sum", scatter_rebuild)
+            scattered = decompose(problem)
+        assert gathered.residual_history == scattered.residual_history
+        for a, b in zip(gathered.components, scattered.components):
+            assert np.array_equal(a, b)
 
 
 def test_nonfinite_observation_rejected():
