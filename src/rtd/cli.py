@@ -175,7 +175,7 @@ def cmd_reveal(args):
     img = read_image(args.container)
     if not isinstance(img, GrayImage):
         raise DimMismatch(f"container must be a grayscale PGM: {args.container}")
-    container = Container(img.pixels, key.mode)
+    container = Container(img.pixels, key.mode, img.maxval)
     ref_secret = read_image(args.ref_secret) if args.ref_secret else None
     ref_cover = read_image(args.ref_cover) if args.ref_cover else None
     secret_est, cover_est, metrics = reveal(

@@ -2,7 +2,9 @@
 
 Samples are exposed as float64 in [0, 1]; only maxval 255 and 65535 are
 accepted, with 16-bit payloads big-endian per the format. Writing rounds
-clamp(x, 0, 1) * maxval to the nearest integer level.
+clamp(x, 0, 1) * maxval to the nearest integer level. An image read from a
+file keeps its maxval, which fixes the precision its samples are known to;
+an image made in memory has maxval None.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ MAXVALS = (255, 65535)
 @dataclass(frozen=True)
 class GrayImage:
     pixels: np.ndarray  # (h, w) float64 in [0, 1]
+    maxval: int | None = None
 
     @property
     def height(self):
@@ -34,6 +37,7 @@ class GrayImage:
 @dataclass(frozen=True)
 class RgbImage:
     pixels: np.ndarray  # (h, w, 3) float64 in [0, 1]
+    maxval: int | None = None
 
     @property
     def height(self):
@@ -110,8 +114,8 @@ def read_image(path):
     raw = np.frombuffer(payload, dtype=dtype)
     samples = raw.astype(np.float64) / maxval
     if channels == 1:
-        return GrayImage(samples.reshape(height, width))
-    return RgbImage(samples.reshape(height, width, 3))
+        return GrayImage(samples.reshape(height, width), maxval)
+    return RgbImage(samples.reshape(height, width, 3), maxval)
 
 
 def quantize(samples, maxval):

@@ -88,6 +88,11 @@ class SolverResult:
     kappa_history: list = field(default_factory=list)
     dual_history: list = field(default_factory=list)
 
+    @property
+    def stop_reason(self):
+        """Why the run stopped: "tol" or "max_iter"."""
+        return "tol" if self.converged else "max_iter"
+
 
 def default_kappa0(problem):
     """Initial penalty so the first threshold 1/kappa sits just under the
@@ -114,16 +119,21 @@ def _kappa_at(config, k, kappa0):
     return kappa
 
 
-def _rebuild_sum(out, ops, comps):
-    """out = sum_i R_i(A_i), added in component order.
+def _add_reshuffled(out, op, v):
+    """out += R(v) for a flat component v.
 
     Gathering through inv_perm adds the same terms in the same order as
     scattering through perm, so the result is bit-identical, and a gather
     is about 3x cheaper than a scatter.
     """
+    np.add(out, v[op.inv_perm], out=out)
+
+
+def _rebuild_sum(out, ops, comps):
+    """out = sum_i R_i(A_i), added in component order."""
     out[:] = 0.0
     for op, a in zip(ops, comps):
-        np.add(out, a.ravel()[op.inv_perm], out=out)
+        _add_reshuffled(out, op, a.ravel())
 
 
 def decompose(problem, config=None):
@@ -135,8 +145,9 @@ def decompose(problem, config=None):
         A_i <- svt( adjoint_i( X - sum_{j != i} R_j(A_j) + Y/kappa ), 1/kappa )
 
     then Y += kappa * (X - sum_i R_i(A_i)) and kappa advances per schedule.
-    Stops when the relative primal residual drops to config.tol or max_iter
-    is hit; raises DivergenceDetected if the residual blows up instead.
+    Stops when the primal residual relative to ||X||_F (absolute for a zero
+    observation) drops to config.tol or max_iter is hit; raises
+    DivergenceDetected if the residual blows up instead.
     """
     if config is None:
         config = SolverConfig()
@@ -149,7 +160,7 @@ def decompose(problem, config=None):
     norm_x = float(np.linalg.norm(x))
     if not math.isfinite(norm_x):
         raise NonFinite("observation norm overflows float64")
-    scale = max(1.0, norm_x)
+    scale = norm_x if norm_x > 0.0 else 1.0
     kappa0 = config.kappa0 if config.kappa0 is not None else default_kappa0(problem)
 
     y = np.sign(x)
@@ -175,11 +186,12 @@ def decompose(problem, config=None):
             kernels.pullback_residual(x, s_sum, y, inv_kappa, op.perm, a_old.ravel(), buf)
             a_new, values = svt_with_values(buf.reshape(op.m, op.n), inv_kappa, warm[i])
             objective += float(values.sum())
-            delta_sq += float(np.sum((a_new - a_old) ** 2))
-            kernels.scatter_add_delta(s_sum, op.perm, a_new.ravel(), a_old.ravel())
+            d = (a_new - a_old).ravel()
+            delta_sq += float(d @ d)
+            _add_reshuffled(s_sum, op, d)
             comps[i] = a_new
-        # Refresh the running sum from scratch so scatter-add rounding
-        # cannot accumulate across iterations.
+        # Refresh the running sum from scratch so the rounding of the
+        # incremental updates cannot accumulate across iterations.
         _rebuild_sum(s_sum, ops, comps)
         diff = x - s_sum
         y += kappa * diff
@@ -215,14 +227,15 @@ def decompose(problem, config=None):
 
 
 def primal_residual(problem, components):
-    """||X - sum_i R_i(A_i)||_F / max(1, ||X||_F)."""
+    """||X - sum_i R_i(A_i)||_F / ||X||_F, or the plain norm when X is zero."""
     X, ops = problem.X, problem.ops
     if len(components) != len(ops):
         raise ShapeMismatch(f"{len(components)} components for {len(ops)} operators")
     total = np.zeros(X.shape)
     for op, a in zip(ops, components):
         total += op.apply(a)
-    return float(np.linalg.norm(X - total)) / max(1.0, float(np.linalg.norm(X)))
+    norm_x = float(np.linalg.norm(X))
+    return float(np.linalg.norm(X - total)) / (norm_x if norm_x > 0.0 else 1.0)
 
 
 def objective(components):

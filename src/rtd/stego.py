@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import sir, tsir
-from .errors import DimMismatch, KeyMismatch, StrengthOutOfRange
+from .errors import DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMaxval
 from .netpbm import GrayImage, RgbImage
 from .reshuffle import reshuffle_from_seed, reshuffle_identity
 from .rng import derive_seed
@@ -22,8 +22,18 @@ MODES = ("float", "q8")
 COMPONENT_COUNT = 4
 FORMAT_VERSION = "rtd-stego v1"
 
-# rms of the uniform rounding error introduced by 8-bit quantization
-Q8_NOISE_RMS = 1.0 / (510.0 * np.sqrt(3.0))
+# The reveal's tolerance floor per container maxval, in units of the rounding
+# rms.  At 8 bits the rounding is about as large as a 0.05-strength secret, and
+# a floor at 1 rms costs 0.2-1.3 dB of secret tSIR.  A 16-bit container written
+# by a file-based hide carries two roundings (the cover read, the container
+# written), about sqrt(2) rms: its residual levels off at 1.2-1.4 rms and
+# below that the solve only fits noise, so 1.5 stops on the way in.
+FLOOR_FACTOR = {255: 0.1, 65535: 1.5}
+
+
+def rounding_rms(maxval):
+    """rms of the uniform error from rounding [0, 1] samples to maxval levels."""
+    return 1.0 / (2.0 * maxval * np.sqrt(3.0))
 
 
 @dataclass(frozen=True)
@@ -64,8 +74,18 @@ class StegoKey:
 
 @dataclass(frozen=True)
 class Container:
+    """Container pixels; maxval is the sample precision they were rounded
+    to (255 or 65535), or None when they are known exactly."""
+
     pixels: np.ndarray  # (h, w) float64
     mode: str = "float"
+    maxval: int | None = None
+
+    def __post_init__(self):
+        if self.maxval is not None and self.maxval not in FLOOR_FACTOR:
+            raise UnsupportedMaxval(
+                f"maxval must be one of {tuple(FLOOR_FACTOR)} or None, got {self.maxval}"
+            )
 
 
 def conceal(cover, secret, strength=0.05, master_seed=0, mode="float"):
@@ -80,15 +100,23 @@ def conceal(cover, secret, strength=0.05, master_seed=0, mode="float"):
         pixels += key.strength * op.apply(secret.pixels[:, :, c])
     if mode == "q8":
         pixels = np.rint(np.clip(pixels, 0.0, 1.0) * 255.0) / 255.0
+        return Container(pixels, mode, 255), key
     return Container(pixels, mode), key
 
 
 def _reveal_config(container, config):
+    """Raise the tolerance to the rounding floor of a rounded container.
+
+    Below FLOOR_FACTOR * rounding_rms per pixel, relative to the container's
+    norm, the exact-fit constraint has only rounding noise left to fit
+    (the discrepancy principle).  Exact containers keep config.tol.
+    """
     if config is None:
         config = SolverConfig()
-    if container.mode != "q8":
+    if container.maxval is None:
         return config
-    floor = 0.1 * Q8_NOISE_RMS * np.sqrt(container.pixels.size)
+    factor = FLOOR_FACTOR[container.maxval]
+    floor = factor * rounding_rms(container.maxval) * np.sqrt(container.pixels.size)
     floor /= max(np.linalg.norm(container.pixels), 1e-300)
     return dataclasses.replace(config, tol=max(config.tol, float(floor)))
 
@@ -97,8 +125,10 @@ def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
     """Decompose the container back into cover and secret estimates.
 
     Channel estimates are divided by the key strength and clamped to
-    [0, 1].  Metrics always carry the solver diagnostics; reference
-    images add SIR numbers for whatever they cover.
+    [0, 1].  A rounded container (maxval set) stops at its rounding floor.
+    Metrics always carry the solver diagnostics, the tolerance in effect
+    and why the solve stopped; reference images add SIR numbers for
+    whatever they cover.
     """
     if container.pixels.shape != key.cover_dims:
         raise KeyMismatch(
@@ -108,7 +138,8 @@ def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
         raise KeyMismatch(f"unsupported key version {key.version!r}")
     ch, cw = key.cover_dims
     ops = [reshuffle_identity(ch, cw, (ch, cw))] + key.channel_ops()
-    result = decompose(Problem(container.pixels, ops), _reveal_config(container, config))
+    config = _reveal_config(container, config)
+    result = decompose(Problem(container.pixels, ops), config)
     cover_est = GrayImage(np.clip(result.components[0], 0.0, 1.0))
     channels = [
         np.clip(comp / key.strength, 0.0, 1.0) for comp in result.components[1:]
@@ -117,7 +148,9 @@ def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
     metrics = {
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "residual": result.residual_history[-1],
+        "tol": config.tol,
     }
     if ref_secret is not None:
         refs = [ref_secret.pixels[:, :, c] for c in range(3)]

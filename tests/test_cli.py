@@ -185,10 +185,16 @@ def test_hide_reveal_roundtrip(tmp_path, capsys):
     assert lines[0] == "metric,value"
     metrics = dict(line.split(",", 1) for line in lines[1:])
     assert set(metrics) >= {
-        "iterations", "converged", "residual",
+        "iterations", "converged", "stop_reason", "residual", "tol",
         "sir_r_db", "sir_g_db", "sir_b_db", "secret_tsir_db", "cover_sir_db",
     }
     assert metrics["converged"] == "1"
+    assert metrics["stop_reason"] == "tol"
+    # the float container is a 16-bit file: the solve stops at its rounding floor
+    pixels = read_image(container).pixels
+    floor = 1.5 / (2.0 * 65535 * np.sqrt(3.0)) * np.sqrt(pixels.size) / np.linalg.norm(pixels)
+    assert float(metrics["tol"]) == pytest.approx(floor, rel=1e-12)
+    assert float(metrics["residual"]) <= float(metrics["tol"])
     assert float(metrics["secret_tsir_db"]) >= 20.0
     assert float(metrics["cover_sir_db"]) >= 20.0
     revealed = read_image(out_secret)

@@ -37,6 +37,17 @@ def test_rgb_roundtrip(tmp_path):
     assert np.max(np.abs(back.pixels - img.pixels)) <= 0.5 / 255 + 1e-12
 
 
+def test_read_image_keeps_maxval(tmp_path):
+    for maxval in (255, 65535):
+        for name, img in (("g.pgm", GrayImage(np.zeros((2, 3)))),
+                          ("c.ppm", RgbImage(np.zeros((2, 3, 3))))):
+            path = tmp_path / f"{maxval}{name}"
+            write_image(img, path, maxval=maxval)
+            assert read_image(path).maxval == maxval
+    assert GrayImage(np.zeros((2, 3))).maxval is None
+    assert RgbImage(np.zeros((2, 3, 3))).maxval is None
+
+
 def test_header_layout(tmp_path):
     path = tmp_path / "h.pgm"
     write_image(GrayImage(np.zeros((2, 3))), path, maxval=255)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import rtd.solver as solver_mod
+from rtd.analysis import tsir
 from rtd.errors import DivergenceDetected, NonFinite, ShapeMismatch
+from rtd.experiments import make_instance
 from rtd.linalg import random_semi_orthonormal_pair
 from rtd.reshuffle import reshuffle_from_seed, reshuffle_identity
 from rtd.solver import (
@@ -35,6 +37,7 @@ def test_single_component_exact():
     problem = Problem(op.apply(A), [op])
     result = decompose(problem)
     assert result.converged
+    assert result.stop_reason == "tol"
     err = np.linalg.norm(result.components[0] - A) / np.linalg.norm(A)
     assert err <= 1e-6
 
@@ -120,20 +123,40 @@ def test_divergence_detected(monkeypatch):
 
 
 def test_gather_rebuild_matches_scatter_path(monkeypatch):
-    def scatter_rebuild(out, ops, comps):
-        out[:] = 0.0
-        for op, a in zip(ops, comps):
-            out[op.perm] += a.ravel()
+    # Both the per-component Gauss-Seidel update of the running sum and its
+    # rebuild after each sweep go through _add_reshuffled.
+    calls = []
+
+    def scatter_add(out, op, v):
+        calls.append(op)
+        out[op.perm] += v
 
     for n, r, seed in ((12, 1, 0), (40, 2, 5), (48, 3, 9)):
         problem, _ = two_component_problem(n=n, r=r, seed=seed)
         gathered = decompose(problem)
+        calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(solver_mod, "_rebuild_sum", scatter_rebuild)
+            patch.setattr(solver_mod, "_add_reshuffled", scatter_add)
             scattered = decompose(problem)
+        # one update per component per sweep, plus a rebuild before the
+        # first sweep and after each one
+        assert len(calls) == 2 * (2 * scattered.iterations + 1)
         assert gathered.residual_history == scattered.residual_history
         for a, b in zip(gathered.components, scattered.components):
             assert np.array_equal(a, b)
+
+
+def test_results_do_not_change_with_the_scale_of_the_observation():
+    truth, ops, X = make_instance(40, 2, 2, seed=3)
+    base = decompose(Problem(X, ops))
+    base_db = tsir(truth, base.components)
+    for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        result = decompose(Problem(c * X, ops))
+        assert abs(result.iterations - base.iterations) <= 1, c
+        assert abs(tsir([c * a for a in truth], result.components) - base_db) <= 1.0, c
+        assert primal_residual(Problem(c * X, ops), result.components) == pytest.approx(
+            result.residual_history[-1], rel=1e-6
+        )
 
 
 def test_nonfinite_observation_rejected():
@@ -190,6 +213,7 @@ def test_objective_matches_history():
 def test_history_csv_format():
     problem, _ = two_component_problem()
     result = decompose(problem, SolverConfig(max_iter=3, tol=1e-30))
+    assert result.stop_reason == "max_iter"
     text = history_csv(result)
     lines = text.splitlines()
     assert lines[0] == "iteration,residual,objective,kappa,dual_residual"

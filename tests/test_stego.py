@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from rtd.errors import DimMismatch, KeyMismatch, StrengthOutOfRange
+from rtd.analysis import tsir
+from rtd.errors import DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMaxval
 from rtd.netpbm import GrayImage, RgbImage
 from rtd.solver import SolverConfig
 from rtd.stego import (
     COMPONENT_COUNT,
     FORMAT_VERSION,
+    Container,
     StegoKey,
+    _reveal_config,
     conceal,
     read_key,
     reveal,
@@ -57,6 +60,7 @@ def test_q8_container_is_byte_quantized():
     cover, secret = small_pair()
     container, key = conceal(cover, secret, strength=0.05, master_seed=5, mode="q8")
     assert container.mode == "q8"
+    assert container.maxval == 255
     assert key.mode == "q8"
     levels = container.pixels * 255.0
     assert np.allclose(levels, np.rint(levels), atol=1e-9)
@@ -82,7 +86,9 @@ def test_reveal_without_refs_has_solver_metrics_only():
     cover, secret = small_pair(seed=6)
     container, key = conceal(cover, secret, strength=0.05, master_seed=13)
     _, _, metrics = reveal(container, key)
-    assert set(metrics) == {"iterations", "converged", "residual"}
+    assert set(metrics) == {"iterations", "converged", "stop_reason", "residual", "tol"}
+    assert metrics["stop_reason"] == "tol"
+    assert metrics["tol"] == SolverConfig().tol
 
 
 def test_wrong_seed_reveals_noise():
@@ -167,3 +173,45 @@ def test_custom_config_passes_through():
     _, _, metrics = reveal(container, key, config=SolverConfig(max_iter=3, tol=1e-30))
     assert metrics["iterations"] == 3
     assert not metrics["converged"]
+    assert metrics["stop_reason"] == "max_iter"
+
+
+def _rounded(pixels, maxval):
+    return np.rint(np.clip(pixels, 0.0, 1.0) * maxval) / maxval
+
+
+def test_reveal_config_floor_follows_maxval():
+    cover, secret = small_pair(seed=14)
+    config = SolverConfig()
+    exact, _ = conceal(cover, secret, strength=0.05, master_seed=3)
+    assert exact.maxval is None
+    assert _reveal_config(exact, config) is config
+    q8, _ = conceal(cover, secret, strength=0.05, master_seed=3, mode="q8")
+    pixels = q8.pixels
+    old_q8 = 0.1 * (1.0 / (510.0 * np.sqrt(3.0))) * np.sqrt(pixels.size)
+    old_q8 /= np.linalg.norm(pixels)
+    assert _reveal_config(q8, config).tol == old_q8
+    # a floor below the requested tolerance leaves the tolerance alone
+    assert _reveal_config(q8, SolverConfig(tol=1.0)).tol == 1.0
+    with pytest.raises(UnsupportedMaxval):
+        Container(pixels, maxval=1023)
+
+
+def test_16bit_container_stops_at_its_rounding_floor():
+    # As a file-based hide leaves it: cover and secret read from 16-bit
+    # files, the container written back at 16 bits.
+    cover, secret = small_pair(h=48, w=48, seed=2)
+    cover = GrayImage(_rounded(cover.pixels, 65535))
+    secret = RgbImage(_rounded(secret.pixels, 65535))
+    container, key = conceal(cover, secret, strength=0.05, master_seed=5)
+    pixels = _rounded(container.pixels, 65535)
+    refs = [secret.pixels[:, :, c] for c in range(3)]
+    runs = []
+    for maxval in (65535, None):
+        est, _, metrics = reveal(Container(pixels, maxval=maxval), key)
+        assert metrics["converged"]
+        est8 = _rounded(est.pixels, 255)
+        runs.append((metrics["iterations"], tsir(refs, [est8[:, :, c] for c in range(3)])))
+    (floored, floored_db), (exact, exact_db) = runs
+    assert floored <= exact // 2
+    assert abs(floored_db - exact_db) <= 0.1
