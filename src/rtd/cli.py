@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .analysis import certificate_csv, incoherence_lower_bound, recovery_bound_min_n
-from .errors import DimMismatch, DivergenceDetected, RtdError
+from .errors import DimMismatch, DivergenceDetected, RtdError, ShapeMismatch
 from .experiments import (
     DropoutSpec,
     NoiseSweepSpec,
@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .formats import read_ops, read_tensor, write_tensor
 from .netpbm import GrayImage, RgbImage, read_image, write_image
-from .solver import Problem, SolverConfig, decompose, history_csv
+from .solver import SCHEDULES, Problem, SolverConfig, decompose, history_csv
 from .stego import Container, conceal, read_key, reveal, write_key
 
 EXIT_OK = 0
@@ -75,11 +75,12 @@ def _solver_config(args):
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--rho", type=float, default=1.01)
-    sub.add_argument("--kappa0", type=float, default=None)
-    sub.add_argument("--max-iter", type=int, default=2000)
-    sub.add_argument("--tol", type=float, default=1e-7)
-    sub.add_argument("--schedule", choices=("geometric", "harmonic"), default="geometric")
+    defaults = SolverConfig()
+    sub.add_argument("--rho", type=float, default=defaults.rho)
+    sub.add_argument("--kappa0", type=float, default=defaults.kappa0)
+    sub.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    sub.add_argument("--tol", type=float, default=defaults.tol)
+    sub.add_argument("--schedule", choices=SCHEDULES, default=defaults.kappa_schedule)
 
 
 def _write_text(path, text):
@@ -89,7 +90,15 @@ def _write_text(path, text):
 
 def cmd_decompose(args):
     X = read_tensor(args.tensor)
-    ops = [spec.build() for spec in read_ops(args.ops)]
+    specs = read_ops(args.ops)
+    # Shapes are checked before any permutation is built, so an operator
+    # file cannot make the build allocate more than the tensor holds.
+    for spec in specs:
+        if spec.dst_shape != X.shape:
+            raise ShapeMismatch(
+                f"operator maps into {spec.dst_shape}, observation has shape {X.shape}"
+            )
+    ops = [spec.build() for spec in specs]
     result = decompose(Problem(X, ops), _solver_config(args))
     os.makedirs(args.out_dir, exist_ok=True)
     artifacts = []
@@ -204,11 +213,17 @@ def cmd_bound(args):
 
 def cmd_incoherence(args):
     components = [read_tensor(p) for p in args.components]
-    ops = [spec.build() for spec in read_ops(args.ops)]
-    if len(components) != len(ops):
+    specs = read_ops(args.ops)
+    if len(components) != len(specs):
         raise DimMismatch(
-            f"{len(components)} component files but {len(ops)} operators"
+            f"{len(components)} component files but {len(specs)} operators"
         )
+    for spec, A in zip(specs, components):
+        if (spec.m, spec.n) != A.shape:
+            raise ShapeMismatch(
+                f"operator takes {spec.m}x{spec.n} matrices, component has shape {A.shape}"
+            )
+    ops = [spec.build() for spec in specs]
     mus = []
     for i, A in enumerate(components):
         est = incoherence_lower_bound(

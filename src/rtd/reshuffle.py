@@ -95,7 +95,3 @@ def cross_map(op_i, op_j):
         )
     return op_j.inv_perm[op_i.perm]
 
-
-def dump_perm(op, fileobj):
-    """Debug dump: perm as one line of space-separated integers."""
-    fileobj.write(" ".join(str(int(p)) for p in op.perm) + "\n")

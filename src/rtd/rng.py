@@ -21,21 +21,6 @@ def mix64(z):
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """splitmix64 stream: state steps by the golden gamma, output is mix64."""
-
-    def __init__(self, seed):
-        self.state = seed & _MASK
-
-    def next_u64(self):
-        self.state = (self.state + GOLDEN) & _MASK
-        return mix64(self.state)
-
-    def bounded(self, n):
-        """Uniform integer in [0, n) by the multiply-shift reduction."""
-        return (self.next_u64() * n) >> 64
-
-
 def derive_seed(seed, index):
     """The (index+1)-th output of the stream seeded with ``seed``.
 
@@ -48,8 +33,8 @@ def derive_seed(seed, index):
 def bulk_u64(seed, count, start=0):
     """Outputs start+1 .. start+count of the stream, as a uint64 array.
 
-    Identical values to ``count`` sequential ``next_u64`` calls after
-    skipping ``start`` outputs.
+    Output k is ``mix64(seed + k * GOLDEN)``: the state steps by the golden
+    gamma and each output mixes the new state.
     """
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK) + idx * np.uint64(GOLDEN)

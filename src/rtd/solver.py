@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import DivergenceDetected, NonFinite, ShapeMismatch
 from .linalg import WarmStart, nuclear_norm, spectral_norm, svt_with_values
 
@@ -119,6 +118,11 @@ def _kappa_at(config, k, kappa0):
     return kappa
 
 
+def _pullback(out, x, s, y, inv_kappa, op, a):
+    """out = adjoint(x - s + y*inv_kappa) + a for a flat component a."""
+    np.add(((x - s) + y * inv_kappa)[op.perm], a, out=out)
+
+
 def _add_reshuffled(out, op, v):
     """out += R(v) for a flat component v.
 
@@ -183,7 +187,7 @@ def decompose(problem, config=None):
         for i, op in enumerate(ops):
             a_old = comps[i]
             buf = bufs[i]
-            kernels.pullback_residual(x, s_sum, y, inv_kappa, op.perm, a_old.ravel(), buf)
+            _pullback(buf, x, s_sum, y, inv_kappa, op, a_old.ravel())
             a_new, values = svt_with_values(buf.reshape(op.m, op.n), inv_kappa, warm[i])
             objective += float(values.sum())
             d = (a_new - a_old).ravel()

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import rtd.cli as cli
+import rtd.reshuffle as reshuffle
 from rtd.cli import main, parse_values
 from rtd.errors import DivergenceDetected
 from rtd.formats import OpSpec, read_tensor, write_ops, write_tensor
 from rtd.linalg import random_semi_orthonormal_pair
 from rtd.netpbm import GrayImage, RgbImage, read_image, write_image
+from rtd.solver import SolverConfig
 
 from conftest import low_rank_image
 
@@ -84,6 +86,41 @@ def test_decompose_missing_file_exits_2(tmp_path):
         "decompose", "--tensor", str(tmp_path / "no.rtd"),
         "--ops", str(tmp_path / "no.txt"), "--out-dir", str(tmp_path / "o"),
     ]) == 2
+
+
+@pytest.fixture
+def no_permutations(monkeypatch):
+    """Fail the test if any seeded operator gets built."""
+
+    def refuse(count, seed):
+        raise AssertionError(f"built a permutation of {count} entries")
+
+    monkeypatch.setattr(reshuffle, "random_permutation", refuse)
+
+
+def test_decompose_operator_shape_mismatch_exits_2(tmp_path, capsys, no_permutations):
+    tensor = tmp_path / "x.rtd"
+    write_tensor(np.zeros((4, 4)), tensor)
+    ops = tmp_path / "ops.txt"
+    # 4e8 entries: building this permutation would need gigabytes
+    for spec in (
+        OpSpec("seeded", 20000, 20000, (20000, 20000), seed=1),
+        OpSpec("seeded", 4, 4, (16,), seed=1),
+    ):
+        write_ops([spec], ops)
+        assert main([
+            "decompose", "--tensor", str(tensor), "--ops", str(ops),
+            "--out-dir", str(tmp_path / "o"),
+        ]) == 2
+        assert "rtd: operator maps into" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_solver_flag_defaults_are_the_config_defaults():
+    args = cli.build_parser().parse_args(
+        ["decompose", "--tensor", "x.rtd", "--ops", "ops.txt", "--out-dir", "o"]
+    )
+    assert cli._solver_config(args) == SolverConfig()
 
 
 def test_divergence_exit_code(tmp_path, monkeypatch):
@@ -252,7 +289,7 @@ def test_incoherence_report(tmp_path, capsys):
         assert fields[3] in ("not falsified", "falsified")
 
 
-def test_incoherence_count_mismatch_exits_2(tmp_path):
+def test_incoherence_count_mismatch_exits_2(tmp_path, no_permutations):
     n = 4
     specs = [OpSpec("seeded", n, n, (n * n,), seed=s) for s in (1, 2)]
     ops_path = tmp_path / "ops.txt"
@@ -262,6 +299,17 @@ def test_incoherence_count_mismatch_exits_2(tmp_path):
     assert main([
         "incoherence", "--components", str(path), "--ops", str(ops_path),
     ]) == 2
+
+
+def test_incoherence_operator_shape_mismatch_exits_2(tmp_path, capsys, no_permutations):
+    ops_path = tmp_path / "ops.txt"
+    write_ops([OpSpec("seeded", 20000, 20000, (20000 * 20000,), seed=1)], ops_path)
+    path = tmp_path / "c.rtd"
+    write_tensor(np.eye(4), path)
+    assert main([
+        "incoherence", "--components", str(path), "--ops", str(ops_path),
+    ]) == 2
+    assert "rtd: operator takes 20000x20000 matrices" in capsys.readouterr().err
 
 
 def test_explicit_manifest_path(tmp_path, capsys):

@@ -1,12 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 
 from rtd.errors import ShapeMismatch
 from rtd.reshuffle import (
     cross_map,
-    dump_perm,
     reshuffle_from_seed,
     reshuffle_identity,
 )
@@ -123,13 +120,6 @@ def test_cross_map_agrees_with_two_path():
 def test_cross_map_size_mismatch():
     with pytest.raises(ShapeMismatch):
         cross_map(reshuffle_identity(2, 2, (4,)), reshuffle_identity(2, 3, (6,)))
-
-
-def test_dump_perm():
-    op = reshuffle_identity(2, 2, (4,))
-    buf = io.StringIO()
-    dump_perm(op, buf)
-    assert buf.getvalue() == "0 1 2 3\n"
 
 
 def test_perm_arrays_frozen():

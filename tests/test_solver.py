@@ -7,6 +7,7 @@ from rtd.errors import DivergenceDetected, NonFinite, ShapeMismatch
 from rtd.experiments import make_instance
 from rtd.linalg import random_semi_orthonormal_pair
 from rtd.reshuffle import reshuffle_from_seed, reshuffle_identity
+from rtd.rng import gaussians
 from rtd.solver import (
     Problem,
     SolverConfig,
@@ -120,6 +121,14 @@ def test_divergence_detected(monkeypatch):
     problem, _ = two_component_problem()
     with pytest.raises(DivergenceDetected):
         decompose(problem, SolverConfig(max_iter=2000, tol=1e-12))
+
+
+def test_pullback_matches_numpy():
+    op = reshuffle_from_seed(10, 20, (200,), 5)
+    x, s, y, a = (gaussians(200, seed) for seed in range(4))
+    out = np.empty(200)
+    solver_mod._pullback(out, x, s, y, 0.25, op, a)
+    assert np.array_equal(out, (x - s + y * 0.25)[op.perm] + a)
 
 
 def test_gather_rebuild_matches_scatter_path(monkeypatch):
