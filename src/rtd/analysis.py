@@ -15,14 +15,6 @@ from .rng import derive_seed, gaussians
 DB_CAP = 300.0
 
 
-def _ratio_db(num, den):
-    if num == 0.0:
-        raise AllZeroSignal("reference signal has zero energy")
-    if den < 1e-300 * num:
-        return DB_CAP
-    return 10.0 * np.log10(num / den)
-
-
 def tsir(true_components, est_components):
     """Total signal-to-interference ratio across a component list, in dB.
 
@@ -42,18 +34,16 @@ def tsir(true_components, est_components):
             raise ShapeMismatch(f"component shapes differ: {a.shape} vs {b.shape}")
         num += np.linalg.norm(a) ** 2
         den += np.linalg.norm(a - b) ** 2
-    return _ratio_db(num, den)
+    if num == 0.0:
+        raise AllZeroSignal("reference signal has zero energy")
+    if den < 1e-300 * num:
+        return DB_CAP
+    return 10.0 * np.log10(num / den)
 
 
 def sir(reference, estimate):
     """Signal-to-interference ratio of a single array pair, in dB."""
-    reference = np.asarray(reference, dtype=np.float64)
-    estimate = np.asarray(estimate, dtype=np.float64)
-    if reference.shape != estimate.shape:
-        raise ShapeMismatch(f"shapes differ: {reference.shape} vs {estimate.shape}")
-    num = np.linalg.norm(reference) ** 2
-    den = np.linalg.norm(reference - estimate) ** 2
-    return _ratio_db(num, den)
+    return tsir([reference], [estimate])
 
 
 def recovery_bound_min_n(N, r):

@@ -8,6 +8,7 @@ are deterministic for fixed arguments.  Exit codes: 0 success, 1 usage,
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -17,6 +18,7 @@ from . import __version__
 from .analysis import certificate_csv, incoherence_lower_bound, recovery_bound_min_n
 from .errors import DimMismatch, DivergenceDetected, RtdError, ShapeMismatch
 from .experiments import (
+    MODES,
     DropoutSpec,
     NoiseSweepSpec,
     PhaseGridSpec,
@@ -81,6 +83,19 @@ def _add_solver_flags(sub):
     sub.add_argument("--max-iter", type=int, default=defaults.max_iter)
     sub.add_argument("--tol", type=float, default=defaults.tol)
     sub.add_argument("--schedule", choices=SCHEDULES, default=defaults.kappa_schedule)
+
+
+def _values_text(values):
+    return ",".join(str(v) for v in values)
+
+
+def _add_experiment_flags(sub, defaults):
+    """Flags every experiment takes, defaulting to the spec's own fields."""
+    sub.set_defaults(seed=defaults.seed)
+    sub.add_argument("--ranks", default=_values_text(defaults.ranks))
+    sub.add_argument("--trials", type=int, default=defaults.trials)
+    sub.add_argument("--threads", type=int, default=os.cpu_count())
+    sub.add_argument("--out-csv", required=True)
 
 
 def _write_text(path, text):
@@ -252,37 +267,31 @@ def build_parser():
     sub.add_argument("--out-dir", required=True)
     _add_solver_flags(sub)
 
+    phase = PhaseGridSpec()
+    heatmap = inspect.signature(render_heatmap).parameters
     sub = add("phase", cmd_phase, "tSIR grid over rank and size or count")
-    sub.add_argument("--mode", choices=("rank_vs_size", "rank_vs_count"),
-                     default="rank_vs_size")
-    sub.add_argument("--fixed", type=int, default=2)
-    sub.add_argument("--ranks", default="1:8")
-    sub.add_argument("--axis", default="20:100:10")
-    sub.add_argument("--trials", type=int, default=3)
-    sub.add_argument("--threads", type=int, default=os.cpu_count())
-    sub.add_argument("--lo-db", type=float, default=15.0)
-    sub.add_argument("--hi-db", type=float, default=25.0)
-    sub.add_argument("--out-csv", required=True)
+    _add_experiment_flags(sub, phase)
+    sub.add_argument("--mode", choices=MODES, default=phase.mode)
+    sub.add_argument("--fixed", type=int, default=phase.fixed)
+    sub.add_argument("--axis", default=_values_text(phase.axis))
+    sub.add_argument("--lo-db", type=float, default=heatmap["lo_db"].default)
+    sub.add_argument("--hi-db", type=float, default=heatmap["hi_db"].default)
     sub.add_argument("--out-pgm", default=None)
 
+    noise = NoiseSweepSpec()
     sub = add("noise", cmd_noise, "tSIR under additive Gaussian noise")
-    sub.add_argument("--n", type=int, default=100)
-    sub.add_argument("--N", type=int, default=10)
-    sub.add_argument("--ranks", default="1:4")
-    sub.add_argument("--snrs", default="5:35:5")
-    sub.add_argument("--trials", type=int, default=3)
-    sub.add_argument("--threads", type=int, default=os.cpu_count())
-    sub.add_argument("--out-csv", required=True)
+    _add_experiment_flags(sub, noise)
+    sub.add_argument("--n", type=int, default=noise.n)
+    sub.add_argument("--N", type=int, default=noise.N)
+    sub.add_argument("--snrs", default=_values_text(noise.snrs_db))
 
+    dropout = DropoutSpec()
     sub = add("dropout", cmd_dropout, "component-count estimation accuracy")
-    sub.add_argument("--n", type=int, default=60)
-    sub.add_argument("--N", type=int, default=6)
-    sub.add_argument("--ranks", default="1")
-    sub.add_argument("--snrs", default="30")
-    sub.add_argument("--trials", type=int, default=10)
-    sub.add_argument("--eta", type=float, default=0.1)
-    sub.add_argument("--threads", type=int, default=os.cpu_count())
-    sub.add_argument("--out-csv", required=True)
+    _add_experiment_flags(sub, dropout)
+    sub.add_argument("--n", type=int, default=dropout.n)
+    sub.add_argument("--N", type=int, default=dropout.N)
+    sub.add_argument("--snrs", default=_values_text(dropout.snrs_db))
+    sub.add_argument("--eta", type=float, default=dropout.eta)
 
     sub = add("hide", cmd_hide, "embed a color secret in a grayscale cover")
     sub.add_argument("--cover", required=True)

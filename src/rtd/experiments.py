@@ -4,6 +4,7 @@ heatmap output.
 """
 
 import dataclasses
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -59,18 +60,53 @@ def add_gaussian_noise(X, snr_db, seed):
     return X + sigma * gaussians(X.size, seed).reshape(X.shape)
 
 
+def _check_spec(spec, *lists):
+    """Checks shared by the experiment specs: the named value lists are
+    nonempty and there is at least one trial per cell."""
+    for name in lists:
+        if not getattr(spec, name):
+            raise ValueError(f"{name} must be nonempty")
+    if int(spec.trials) < 1:
+        raise ValueError(f"trials must be >= 1, got {spec.trials}")
+    object.__setattr__(spec, "trials", int(spec.trials))
+
+
+def _cell_trials(job):
+    trial, spec, config, index, cell = job
+    cell_seed = derive_seed(spec.seed, index)
+    return cell, [trial(spec, config, cell, derive_seed(cell_seed, t)) for t in range(spec.trials)]
+
+
+def _run_cells(spec, trial, cells, threads):
+    """(cell, trial results) for every cell that is not None, in list order.
+
+    ``trial(spec, config, cell, seed)`` runs one seeded trial and must be a
+    module-level function so worker processes can load it.  Cell i is seeded
+    by ``derive_seed(spec.seed, i)``, skipped cells included, and its trial t
+    by ``derive_seed(cell_seed, t)``, so results are identical at any thread
+    count.
+    """
+    config = spec.config or SolverConfig()
+    jobs = [(trial, spec, config, i, cell) for i, cell in enumerate(cells) if cell is not None]
+    if threads <= 1:
+        return [_cell_trials(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(_cell_trials, jobs))
+
+
 @dataclass(frozen=True)
 class PhaseGridSpec:
     """Grid definition: ranks down the rows, size or component count across.
 
     ``fixed`` is the held parameter: N in rank_vs_size mode, n in
-    rank_vs_count mode.  Axis values are stored sorted ascending.
+    rank_vs_count mode.  Axis values are stored sorted ascending.  The
+    defaults are the paper-scale rank-versus-size grid at N = 2.
     """
 
-    mode: str
-    fixed: int
-    ranks: tuple
-    axis: tuple
+    mode: str = "rank_vs_size"
+    fixed: int = 2
+    ranks: tuple = tuple(range(1, 9))
+    axis: tuple = tuple(range(20, 101, 10))
     trials: int = 3
     seed: int = 0
     config: SolverConfig = None
@@ -80,12 +116,8 @@ class PhaseGridSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if int(self.fixed) < 1:
             raise ValueError(f"fixed parameter must be >= 1, got {self.fixed}")
-        if not self.ranks or not self.axis:
-            raise ValueError("ranks and axis ranges must be nonempty")
-        if int(self.trials) < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _check_spec(self, "ranks", "axis")
         object.__setattr__(self, "fixed", int(self.fixed))
-        object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "ranks", tuple(sorted(int(r) for r in self.ranks)))
         object.__setattr__(self, "axis", tuple(sorted(int(a) for a in self.axis)))
 
@@ -107,21 +139,6 @@ class PhaseGrid:
     bound_flags: np.ndarray
 
 
-def _phase_cell(payload):
-    spec, row, col = payload
-    n, r, N = spec.cell_params(row, col)
-    if r > n:
-        return row, col, float("nan"), True
-    config = spec.config if spec.config is not None else SolverConfig()
-    cell_seed = derive_seed(spec.seed, row * len(spec.axis) + col)
-    values = []
-    for t in range(spec.trials):
-        comps, ops, X = make_instance(n, r, N, derive_seed(cell_seed, t))
-        result = decompose(Problem(X, ops), config)
-        values.append(tsir(comps, result.components))
-    return row, col, float(np.mean(values)), False
-
-
 def _bound_flags(spec, invalid):
     """Mark, per rank row, the first cell at or past the theoretical minimum size."""
     flags = np.zeros(invalid.shape, dtype=bool)
@@ -137,22 +154,24 @@ def _bound_flags(spec, invalid):
     return flags
 
 
-def _parallel_map(fn, payloads, threads):
-    if threads <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, payloads))
+def _phase_trial(spec, config, cell, seed):
+    comps, ops, X = make_instance(*spec.cell_params(*cell), seed)
+    return tsir(comps, decompose(Problem(X, ops), config).components)
 
 
 def run_phase_grid(spec, threads=1):
-    """Mean tSIR over seeded trials for every (rank, axis) cell."""
+    """Mean tSIR over seeded trials for every (rank, axis) cell; cells with
+    r > n are invalid and left NaN."""
     shape = (len(spec.ranks), len(spec.axis))
-    cells = np.full(shape, np.nan)
     invalid = np.zeros(shape, dtype=bool)
-    payloads = [(spec, row, col) for row in range(shape[0]) for col in range(shape[1])]
-    for row, col, mean, bad in _parallel_map(_phase_cell, payloads, threads):
-        cells[row, col] = mean
-        invalid[row, col] = bad
+    grid = []
+    for cell in np.ndindex(shape):
+        n, r, _ = spec.cell_params(*cell)
+        invalid[cell] = r > n
+        grid.append(None if r > n else cell)
+    cells = np.full(shape, np.nan)
+    for cell, values in _run_cells(spec, _phase_trial, grid, threads):
+        cells[cell] = np.mean(values)
     return PhaseGrid(spec, cells, invalid, _bound_flags(spec, invalid))
 
 
@@ -198,12 +217,7 @@ class NoiseSweepSpec:
     config: SolverConfig = None
 
     def __post_init__(self):
-        if not self.snrs_db:
-            raise ValueError("SNR list must be nonempty")
-        if not self.ranks:
-            raise ValueError("ranks list must be nonempty")
-        if int(self.trials) < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _check_spec(self, "ranks", "snrs_db")
 
 
 NOISE_TOL_FACTOR = 0.1
@@ -220,30 +234,30 @@ def _noisy_config(base, X_noisy, sigma):
     return dataclasses.replace(base, tol=max(base.tol, float(floor)))
 
 
-def _noise_combo(payload):
-    spec, idx, r, snr_db = payload
-    base = spec.config if spec.config is not None else SolverConfig()
-    combo_seed = derive_seed(spec.seed, idx)
-    values = []
-    for t in range(spec.trials):
-        t_seed = derive_seed(combo_seed, t)
-        comps, ops, X = make_instance(spec.n, r, spec.N, derive_seed(t_seed, 0))
-        sigma = noise_sigma(X, snr_db)
-        Xn = add_gaussian_noise(X, snr_db, derive_seed(t_seed, 1))
-        result = decompose(Problem(Xn, ops), _noisy_config(base, Xn, sigma))
-        values.append(tsir(comps, result.components))
-    return r, snr_db, float(np.mean(values))
+def _noisy_solve(X, ops, snr_db, config, seed):
+    """Solve X plus Gaussian noise at snr_db, drawn from derive_seed(seed, 1),
+    with the tolerance relaxed to the noise floor.  A zero X has no energy
+    to scale noise against and is solved as it is."""
+    if not X.any():
+        return decompose(Problem(X, ops), config)
+    sigma = noise_sigma(X, snr_db)
+    Xn = add_gaussian_noise(X, snr_db, derive_seed(seed, 1))
+    return decompose(Problem(Xn, ops), _noisy_config(config, Xn, sigma))
+
+
+def _noise_trial(spec, config, cell, seed):
+    r, snr_db = cell
+    comps, ops, X = make_instance(spec.n, r, spec.N, derive_seed(seed, 0))
+    return tsir(comps, _noisy_solve(X, ops, snr_db, config, seed).components)
 
 
 def run_noise_sweep(spec, threads=1):
-    """Rows of (rank, snr_db, mean tSIR) over the spec's grid."""
-    payloads = []
-    idx = 0
-    for r in spec.ranks:
-        for snr_db in spec.snrs_db:
-            payloads.append((spec, idx, r, snr_db))
-            idx += 1
-    return _parallel_map(_noise_combo, payloads, threads)
+    """Rows of (rank, snr_db, mean tSIR) over the spec's grid, rank outer."""
+    cells = list(itertools.product(spec.ranks, spec.snrs_db))
+    return [
+        (r, snr_db, float(np.mean(values)))
+        for (r, snr_db), values in _run_cells(spec, _noise_trial, cells, threads)
+    ]
 
 
 def noise_csv(spec, rows):
@@ -267,52 +281,39 @@ class DropoutSpec:
     config: SolverConfig = None
 
     def __post_init__(self):
-        if not self.snrs_db or not self.ranks:
-            raise ValueError("ranks and SNR lists must be nonempty")
-        if int(self.trials) < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _check_spec(self, "ranks", "snrs_db")
         if not float(self.eta) > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
 
 
-def _dropout_combo(payload):
-    spec, idx, r, snr_db = payload
-    base = spec.config if spec.config is not None else SolverConfig()
-    combo_seed = derive_seed(spec.seed, idx)
-    hits = 0
-    tsirs = []
-    for t in range(spec.trials):
-        t_seed = derive_seed(combo_seed, t)
-        comps, ops, _ = make_instance(spec.n, r, spec.N, derive_seed(t_seed, 0))
-        removed = (bulk_u64(derive_seed(t_seed, 2), spec.N) >> np.uint64(63)).astype(bool)
-        kept = int(spec.N - removed.sum())
-        for i in np.flatnonzero(removed):
-            comps[i] = np.zeros_like(comps[i])
-        X = np.zeros(ops[0].dst_shape)
-        for op, A in zip(ops, comps):
-            X += op.apply(A)
-        if kept == 0:
-            result = decompose(Problem(X, ops), base)
-        else:
-            sigma = noise_sigma(X, snr_db)
-            Xn = add_gaussian_noise(X, snr_db, derive_seed(t_seed, 1))
-            result = decompose(Problem(Xn, ops), _noisy_config(base, Xn, sigma))
-            tsirs.append(tsir(comps, result.components))
-        if estimate_component_count(result.components, spec.eta) == kept:
-            hits += 1
-    mean_tsir = float(np.mean(tsirs)) if tsirs else float("nan")
-    return snr_db, r, hits / spec.trials, mean_tsir
+def _dropout_trial(spec, config, cell, seed):
+    """(count estimate correct, tSIR), with tSIR None when every component
+    was dropped."""
+    snr_db, r = cell
+    comps, ops, _ = make_instance(spec.n, r, spec.N, derive_seed(seed, 0))
+    removed = (bulk_u64(derive_seed(seed, 2), spec.N) >> np.uint64(63)).astype(bool)
+    for i in np.flatnonzero(removed):
+        comps[i] = np.zeros_like(comps[i])
+    X = np.zeros(ops[0].dst_shape)
+    for op, A in zip(ops, comps):
+        X += op.apply(A)
+    result = _noisy_solve(X, ops, snr_db, config, seed)
+    kept = spec.N - int(removed.sum())
+    hit = estimate_component_count(result.components, spec.eta) == kept
+    return hit, tsir(comps, result.components) if kept else None
 
 
 def run_dropout_experiment(spec, threads=1):
-    """Rows of (snr_db, rank, count accuracy, mean tSIR over kept trials)."""
-    payloads = []
-    idx = 0
-    for snr_db in spec.snrs_db:
-        for r in spec.ranks:
-            payloads.append((spec, idx, r, snr_db))
-            idx += 1
-    return _parallel_map(_dropout_combo, payloads, threads)
+    """Rows of (snr_db, rank, count accuracy, mean tSIR over kept trials),
+    SNR outer."""
+    cells = list(itertools.product(spec.snrs_db, spec.ranks))
+    rows = []
+    for (snr_db, r), trials in _run_cells(spec, _dropout_trial, cells, threads):
+        hits = sum(hit for hit, _ in trials)
+        tsirs = [v for _, v in trials if v is not None]
+        mean_tsir = float(np.mean(tsirs)) if tsirs else float("nan")
+        rows.append((snr_db, r, hits / spec.trials, mean_tsir))
+    return rows
 
 
 def dropout_csv(spec, rows):

@@ -15,6 +15,7 @@ permutations, one operator per line:
     seeded m n seed I1 ... IK
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ def read_tensor(path):
         raise MalformedHeader(f"inconsistent shape line {lines[1]!r}")
     if lines[2] != "dtype f64":
         raise MalformedHeader(f"unsupported dtype line {lines[2]!r}")
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     payload = data[offset:]
     if len(payload) != count * 8:
         raise MalformedHeader(f"payload is {len(payload)} bytes, expected {count * 8}")

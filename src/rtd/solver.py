@@ -40,7 +40,6 @@ class SolverConfig:
     max_iter: int = 2000
     tol: float = 1e-7
     kappa_schedule: str = "geometric"
-    kappa_max: float | None = None
 
     def __post_init__(self):
         if not self.rho > 1.0:
@@ -53,8 +52,6 @@ class SolverConfig:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.kappa_schedule not in SCHEDULES:
             raise ValueError(f"kappa_schedule must be one of {SCHEDULES}")
-        if self.kappa_max is not None and not self.kappa_max > 0.0:
-            raise ValueError(f"kappa_max must be > 0, got {self.kappa_max}")
 
 
 @dataclass
@@ -110,12 +107,8 @@ def default_kappa0(problem):
 def _kappa_at(config, k, kappa0):
     """Penalty weight in effect during iteration k (1-indexed)."""
     if config.kappa_schedule == "harmonic":
-        kappa = kappa0 * k
-    else:
-        kappa = kappa0 * config.rho ** (k - 1)
-    if config.kappa_max is not None:
-        kappa = min(kappa, config.kappa_max)
-    return kappa
+        return kappa0 * k
+    return kappa0 * config.rho ** (k - 1)
 
 
 def _pullback(out, x, s, y, inv_kappa, op, a):

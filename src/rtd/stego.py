@@ -19,7 +19,6 @@ from .rng import derive_seed
 from .solver import Problem, decompose, SolverConfig
 
 MODES = ("float", "q8")
-COMPONENT_COUNT = 4
 FORMAT_VERSION = "rtd-stego v1"
 
 # The reveal's tolerance floor per container maxval, in units of the rounding
@@ -43,7 +42,6 @@ class StegoKey:
     secret_dims: tuple
     strength: float
     mode: str = "float"
-    component_count: int = COMPONENT_COUNT
     version: str = FORMAT_VERSION
 
     def __post_init__(self):

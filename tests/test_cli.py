@@ -7,6 +7,7 @@ import rtd.cli as cli
 import rtd.reshuffle as reshuffle
 from rtd.cli import main, parse_values
 from rtd.errors import DivergenceDetected
+from rtd.experiments import DropoutSpec, NoiseSweepSpec, PhaseGridSpec, render_heatmap
 from rtd.formats import OpSpec, read_tensor, write_ops, write_tensor
 from rtd.linalg import random_semi_orthonormal_pair
 from rtd.netpbm import GrayImage, RgbImage, read_image, write_image
@@ -121,6 +122,28 @@ def test_solver_flag_defaults_are_the_config_defaults():
         ["decompose", "--tensor", "x.rtd", "--ops", "ops.txt", "--out-dir", "o"]
     )
     assert cli._solver_config(args) == SolverConfig()
+
+
+class _SpecSeen(Exception):
+    pass
+
+
+def _stop_with_spec(spec, threads):
+    raise _SpecSeen(spec)
+
+
+def test_experiment_flag_defaults_are_the_spec_defaults(monkeypatch):
+    for name, runner, spec in (
+        ("phase", "run_phase_grid", PhaseGridSpec()),
+        ("noise", "run_noise_sweep", NoiseSweepSpec()),
+        ("dropout", "run_dropout_experiment", DropoutSpec()),
+    ):
+        monkeypatch.setattr(cli, runner, _stop_with_spec)
+        with pytest.raises(_SpecSeen) as seen:
+            main([name, "--out-csv", "unused.csv"])
+        assert seen.value.args[0] == spec
+    args = cli.build_parser().parse_args(["phase", "--out-csv", "unused.csv"])
+    assert (args.lo_db, args.hi_db) == render_heatmap.__defaults__
 
 
 def test_divergence_exit_code(tmp_path, monkeypatch):

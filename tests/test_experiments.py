@@ -196,6 +196,22 @@ def test_dropout_tiny_and_csv():
     assert lines[1] == f"30.0,1,4,{acc!r},{float(mean)!r}"
 
 
+def test_process_pool_matches_serial():
+    phase = PhaseGridSpec(
+        "rank_vs_size", 2, ranks=(1, 6), axis=(5, 18, 20), trials=2, seed=3, config=FAST
+    )
+    serial, pooled = run_phase_grid(phase, threads=1), run_phase_grid(phase, threads=2)
+    assert phase_csv(pooled) == phase_csv(serial)
+    assert np.array_equal(pooled.invalid, serial.invalid)
+    noise = NoiseSweepSpec(n=20, N=2, ranks=(1, 2), snrs_db=(20, 30), trials=2, seed=1, config=FAST)
+    assert run_noise_sweep(noise, threads=2) == run_noise_sweep(noise, threads=1)
+    # At seed 2 two of these 24 trials drop every component.
+    dropout = DropoutSpec(n=20, N=3, ranks=(1, 2), snrs_db=(30.0, 25), trials=6, seed=2)
+    serial = run_dropout_experiment(dropout, threads=1)
+    assert run_dropout_experiment(dropout, threads=2) == serial
+    assert [row[:2] for row in serial] == [(30.0, 1), (30.0, 2), (25, 1), (25, 2)]
+
+
 def test_dropout_spec_validation():
     with pytest.raises(ValueError):
         DropoutSpec(eta=0.0)

@@ -52,6 +52,15 @@ def test_tensor_malformed(tmp_path):
             read_tensor(path)
 
 
+def test_read_tensor_overflowing_shape_is_malformed(tmp_path):
+    # 2 * 2**32 * 2**32 wraps to 0 in int64; the count must not, or the
+    # empty payload would pass the length check.
+    path = tmp_path / "huge.rtd"
+    path.write_bytes(f"{TENSOR_MAGIC}\nshape 2 4294967296 4294967296\ndtype f64\n".encode())
+    with pytest.raises(MalformedHeader):
+        read_tensor(path)
+
+
 def test_ops_roundtrip(tmp_path):
     specs = [
         OpSpec("identity", 4, 6, (2, 12)),

@@ -86,13 +86,6 @@ def test_harmonic_kappa_schedule_exact():
     assert result.final_kappa == 2.5
 
 
-def test_kappa_max_clamps():
-    problem, _ = two_component_problem()
-    config = SolverConfig(kappa0=1.0, rho=2.0, max_iter=4, tol=1e-30, kappa_max=3.0)
-    result = decompose(problem, config)
-    assert result.kappa_history == [1.0, 2.0, 3.0, 3.0]
-
-
 def test_default_kappa0_value():
     op = reshuffle_identity(2, 2, (4,))
     X = op.apply(np.diag([4.0, 1.0]))
@@ -184,7 +177,6 @@ def test_config_validation():
         {"max_iter": 0},
         {"tol": 0.0},
         {"kappa_schedule": "bogus"},
-        {"kappa_max": -1.0},
     ):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)

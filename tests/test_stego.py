@@ -6,7 +6,6 @@ from rtd.errors import DimMismatch, KeyMismatch, StrengthOutOfRange, Unsupported
 from rtd.netpbm import GrayImage, RgbImage
 from rtd.solver import SolverConfig
 from rtd.stego import (
-    COMPONENT_COUNT,
     FORMAT_VERSION,
     Container,
     StegoKey,
@@ -120,7 +119,6 @@ def test_key_validation():
     with pytest.raises(KeyMismatch):
         StegoKey(0, (4, 4), (2, 8), 0.05, mode="hex")
     key = StegoKey(0, (4, 4), (2, 8), 0.05)
-    assert key.component_count == COMPONENT_COUNT
     assert key.version == FORMAT_VERSION
 
 
