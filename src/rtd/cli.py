@@ -2,9 +2,11 @@
 
 Subcommands cover decomposition (decompose), the synthetic experiments
 (phase, noise, dropout), steganography (hide, reveal) and the recovery
-diagnostics (bound, incoherence).  Every run is seed-driven; file outputs
-are deterministic for fixed arguments.  Exit codes: 0 success, 1 usage,
-2 data error, 3 solver divergence.
+diagnostics (bound, incoherence).  Every run is seed-driven: hide,
+incoherence and the experiments take --seed, and operator files and stego
+keys carry their own seeds.  File outputs are deterministic for fixed
+arguments.  Exit codes: 0 success, 1 usage, 2 data error, 3 solver
+divergence.
 """
 
 import argparse
@@ -33,6 +35,7 @@ from .experiments import (
 from .formats import read_ops, read_tensor, write_tensor
 from .netpbm import GrayImage, RgbImage, read_image, write_image
 from .solver import SCHEDULES, Problem, SolverConfig, decompose, history_csv
+from .stego import MODES as STEGO_MODES
 from .stego import Container, conceal, read_key, reveal, write_key
 
 EXIT_OK = 0
@@ -85,13 +88,23 @@ def _add_solver_flags(sub):
     sub.add_argument("--schedule", choices=SCHEDULES, default=defaults.kappa_schedule)
 
 
+def _warn_unconverged(converged, iterations, residual):
+    """A run that hit max_iter still writes its outputs and exits 0."""
+    if not converged:
+        print(
+            f"rtd: warning: stopped at max_iter after {iterations} iterations, "
+            f"residual {residual:.3e} above tol",
+            file=sys.stderr,
+        )
+
+
 def _values_text(values):
     return ",".join(str(v) for v in values)
 
 
 def _add_experiment_flags(sub, defaults):
     """Flags every experiment takes, defaulting to the spec's own fields."""
-    sub.set_defaults(seed=defaults.seed)
+    sub.add_argument("--seed", type=int, default=defaults.seed)
     sub.add_argument("--ranks", default=_values_text(defaults.ranks))
     sub.add_argument("--trials", type=int, default=defaults.trials)
     sub.add_argument("--threads", type=int, default=os.cpu_count())
@@ -129,6 +142,7 @@ def cmd_decompose(args):
         f"residual={result.residual_history[-1]:.3e}",
         file=sys.stderr,
     )
+    _warn_unconverged(result.converged, result.iterations, result.residual_history[-1])
     return artifacts
 
 
@@ -205,6 +219,7 @@ def cmd_reveal(args):
     secret_est, cover_est, metrics = reveal(
         container, key, ref_secret=ref_secret, ref_cover=ref_cover
     )
+    _warn_unconverged(metrics["converged"], metrics["iterations"], metrics["residual"])
     write_image(secret_est, args.out, maxval=255)
     artifacts = [args.out]
     if args.out_cover:
@@ -257,7 +272,6 @@ def build_parser():
     def add(name, func, help_text):
         sub = subs.add_parser(name, help=help_text)
         sub.set_defaults(func=func)
-        sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--manifest", default=None)
         return sub
 
@@ -293,13 +307,15 @@ def build_parser():
     sub.add_argument("--snrs", default=_values_text(dropout.snrs_db))
     sub.add_argument("--eta", type=float, default=dropout.eta)
 
+    hide = inspect.signature(conceal).parameters
     sub = add("hide", cmd_hide, "embed a color secret in a grayscale cover")
     sub.add_argument("--cover", required=True)
     sub.add_argument("--secret", required=True)
     sub.add_argument("--out", required=True)
     sub.add_argument("--key", required=True)
-    sub.add_argument("--strength", type=float, default=0.05)
-    sub.add_argument("--mode", choices=("float", "q8"), default="float")
+    sub.add_argument("--seed", type=int, default=hide["master_seed"].default)
+    sub.add_argument("--strength", type=float, default=hide["strength"].default)
+    sub.add_argument("--mode", choices=STEGO_MODES, default=hide["mode"].default)
 
     sub = add("reveal", cmd_reveal, "recover the secret from a container")
     sub.add_argument("--container", required=True)
@@ -313,11 +329,13 @@ def build_parser():
     sub.add_argument("--N", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
 
+    ascent = inspect.signature(incoherence_lower_bound).parameters
     sub = add("incoherence", cmd_incoherence, "certificate report for stored components")
     sub.add_argument("--components", nargs="+", required=True)
     sub.add_argument("--ops", required=True)
-    sub.add_argument("--restarts", type=int, default=8)
-    sub.add_argument("--iters", type=int, default=50)
+    sub.add_argument("--seed", type=int, default=ascent["seed"].default)
+    sub.add_argument("--restarts", type=int, default=ascent["restarts"].default)
+    sub.add_argument("--iters", type=int, default=ascent["iters"].default)
 
     return parser
 

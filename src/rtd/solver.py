@@ -33,9 +33,15 @@ class SolverConfig:
     schedule multiplies kappa by rho each iteration; the harmonic
     schedule uses kappa0 * k, whose inverse sum diverges and so satisfies
     the convergence theory that the geometric schedule does not.
+
+    The default rho = 1.02 was chosen by measurement: it solves the
+    stego reveal and the phase grid in about 40% fewer sweeps than 1.01
+    at equal tSIR, while 1.025 and above lose secret tSIR on the reveal
+    (the threshold 1/kappa falls before the weak channels separate from
+    the cover).
     """
 
-    rho: float = 1.01
+    rho: float = 1.02
     kappa0: float | None = None
     max_iter: int = 2000
     tol: float = 1e-7

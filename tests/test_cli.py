@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 
 import rtd.cli as cli
 import rtd.reshuffle as reshuffle
+import rtd.stego as stego
+from rtd.analysis import incoherence_lower_bound
 from rtd.cli import main, parse_values
 from rtd.errors import DivergenceDetected
 from rtd.experiments import DropoutSpec, NoiseSweepSpec, PhaseGridSpec, render_heatmap
@@ -41,6 +45,17 @@ def test_bound_rejects_bad_args(capsys):
     assert main(["bound", "--N", "0", "--r", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--N", "2", "--r", "1"],
+    ["decompose", "--tensor", "x.rtd", "--ops", "ops.txt", "--out-dir", "o"],
+    ["reveal", "--container", "c.pgm", "--key", "k", "--out", "s.ppm"],
+])
+def test_seed_is_refused_where_nothing_reads_it(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--seed", "3"]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors_exit_1(tmp_path):
     assert main(["bogus"]) == 1
     assert main([]) == 1
@@ -75,11 +90,23 @@ def test_decompose_writes_components_and_history(tmp_path, capsys):
     assert len(history) > 1
     err = capsys.readouterr().err
     assert "converged=True" in err
+    assert "warning" not in err
     manifest_path = out / "component_0.rtd.manifest.json"
     manifest = json.loads(manifest_path.read_text())
     assert manifest["subcommand"] == "decompose"
     assert str(out / "history.csv") in manifest["artifacts"]
     assert manifest["parameters"]["tol"] == 1e-7
+
+
+def test_decompose_warns_when_stopped_at_max_iter(tmp_path, capsys):
+    tensor, ops, _ = _write_instance(tmp_path)
+    out = tmp_path / "out"
+    assert main([
+        "decompose", "--tensor", str(tensor), "--ops", str(ops),
+        "--out-dir", str(out), "--max-iter", "2",
+    ]) == 0
+    assert "rtd: warning: stopped at max_iter after 2 iterations" in capsys.readouterr().err
+    assert (out / "component_0.rtd").exists()
 
 
 def test_decompose_missing_file_exits_2(tmp_path):
@@ -144,6 +171,39 @@ def test_experiment_flag_defaults_are_the_spec_defaults(monkeypatch):
         assert seen.value.args[0] == spec
     args = cli.build_parser().parse_args(["phase", "--out-csv", "unused.csv"])
     assert (args.lo_db, args.hi_db) == render_heatmap.__defaults__
+
+
+def _stop_with_call(func):
+    """func's stand-in: same signature, raises with the call's arguments."""
+
+    @functools.wraps(func)
+    def stop(*args, **kwargs):
+        raise _SpecSeen(args, kwargs)
+
+    return stop
+
+
+def test_hide_and_incoherence_flag_defaults_are_the_library_defaults(tmp_path, monkeypatch):
+    cover_path, secret_path = _write_images(tmp_path)
+    paths, ops_path = _write_components(tmp_path)
+    for name, func, inputs, argv in (
+        ("conceal", stego.conceal, ("cover", "secret"), [
+            "hide", "--cover", str(cover_path), "--secret", str(secret_path),
+            "--out", str(tmp_path / "c.pgm"), "--key", str(tmp_path / "k"),
+        ]),
+        ("incoherence_lower_bound", incoherence_lower_bound, ("A", "ops", "i"), [
+            "incoherence", "--components", *paths, "--ops", str(ops_path),
+        ]),
+    ):
+        monkeypatch.setattr(cli, name, _stop_with_call(func))
+        with pytest.raises(_SpecSeen) as seen:
+            main(argv)
+        args, kwargs = seen.value.args
+        signature = inspect.signature(func)
+        call = signature.bind(*args, **kwargs).arguments
+        assert {k: v for k, v in call.items() if k not in inputs} == {
+            k: p.default for k, p in signature.parameters.items() if k not in inputs
+        }
 
 
 def test_divergence_exit_code(tmp_path, monkeypatch):
@@ -263,6 +323,32 @@ def test_hide_reveal_roundtrip(tmp_path, capsys):
     assert isinstance(read_image(out_cover), GrayImage)
 
 
+def test_reveal_warns_when_stopped_at_max_iter(tmp_path, capsys, monkeypatch):
+    cover_path, secret_path = _write_images(tmp_path)
+    container = tmp_path / "container.pgm"
+    key = tmp_path / "stego.key"
+    assert main([
+        "hide", "--cover", str(cover_path), "--secret", str(secret_path),
+        "--out", str(container), "--key", str(key),
+    ]) == 0
+    real_reveal = cli.reveal
+
+    def short_reveal(*args, **kwargs):
+        return real_reveal(*args, config=SolverConfig(max_iter=3), **kwargs)
+
+    monkeypatch.setattr(cli, "reveal", short_reveal)
+    capsys.readouterr()
+    out_secret = tmp_path / "revealed.ppm"
+    assert main([
+        "reveal", "--container", str(container), "--key", str(key),
+        "--out", str(out_secret),
+    ]) == 0
+    captured = capsys.readouterr()
+    assert "rtd: warning: stopped at max_iter after 3 iterations" in captured.err
+    assert "stop_reason,max_iter" in captured.out.splitlines()
+    assert out_secret.exists()
+
+
 def test_hide_rejects_color_cover(tmp_path):
     cover_path, secret_path = _write_images(tmp_path)
     assert main([
@@ -287,8 +373,7 @@ def test_reveal_with_wrong_size_container_exits_2(tmp_path, capsys):
     ]) == 2
 
 
-def test_incoherence_report(tmp_path, capsys):
-    n = 6
+def _write_components(tmp_path, n=6):
     specs = [OpSpec("seeded", n, n, (n * n,), seed=s) for s in (1, 2)]
     paths = []
     for i in range(2):
@@ -298,6 +383,11 @@ def test_incoherence_report(tmp_path, capsys):
         paths.append(str(path))
     ops_path = tmp_path / "ops.txt"
     write_ops(specs, ops_path)
+    return paths, ops_path
+
+
+def test_incoherence_report(tmp_path, capsys):
+    paths, ops_path = _write_components(tmp_path)
     assert main([
         "incoherence", "--components", *paths, "--ops", str(ops_path),
         "--restarts", "2", "--iters", "10",
