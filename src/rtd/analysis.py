@@ -63,6 +63,16 @@ def certificate_threshold(N):
     return 1.0 / (3 * N - 2)
 
 
+def _mu_list(mu_values):
+    """The incoherence values as floats; nonempty and nonnegative."""
+    mu_values = [float(m) for m in mu_values]
+    if not mu_values:
+        raise ValueError("need at least one incoherence value")
+    if any(m < 0 for m in mu_values):
+        raise ValueError("incoherence values must be nonnegative")
+    return mu_values
+
+
 def exact_recovery_certificate(mu_values):
     """True iff max mu_i < 1/(3N - 2) for N = len(mu_values).
 
@@ -70,11 +80,7 @@ def exact_recovery_certificate(mu_values):
     result is necessary-style evidence ("not falsified"), while a False
     result genuinely falsifies the condition.
     """
-    mu_values = [float(m) for m in mu_values]
-    if not mu_values:
-        raise ValueError("need at least one incoherence value")
-    if any(m < 0 for m in mu_values):
-        raise ValueError("incoherence values must be nonnegative")
+    mu_values = _mu_list(mu_values)
     return max(mu_values) < certificate_threshold(len(mu_values))
 
 
@@ -252,7 +258,7 @@ def cross_spectrum_report(A, ops, i):
 
 def certificate_csv(mu_values):
     """One CSV line per component: index, lower bound, threshold, verdict."""
-    mu_values = [float(m) for m in mu_values]
+    mu_values = _mu_list(mu_values)
     thr = certificate_threshold(len(mu_values))
     lines = ["component,mu_lower_bound,threshold,verdict"]
     for idx, mu in enumerate(mu_values):

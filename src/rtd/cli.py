@@ -34,9 +34,9 @@ from .experiments import (
 )
 from .formats import read_ops, read_tensor, write_tensor
 from .netpbm import GrayImage, RgbImage, read_image, write_image
-from .solver import SCHEDULES, Problem, SolverConfig, decompose, history_csv
+from .solver import Problem, SolverConfig, decompose, history_csv
 from .stego import MODES as STEGO_MODES
-from .stego import Container, conceal, read_key, reveal, write_key
+from .stego import conceal, read_key, reveal, write_key
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,7 +75,6 @@ def _solver_config(args):
         kappa0=args.kappa0,
         max_iter=args.max_iter,
         tol=args.tol,
-        kappa_schedule=args.schedule,
     )
 
 
@@ -85,7 +84,6 @@ def _add_solver_flags(sub):
     sub.add_argument("--kappa0", type=float, default=defaults.kappa0)
     sub.add_argument("--max-iter", type=int, default=defaults.max_iter)
     sub.add_argument("--tol", type=float, default=defaults.tol)
-    sub.add_argument("--schedule", choices=SCHEDULES, default=defaults.kappa_schedule)
 
 
 def _warn_unconverged(converged, iterations, residual):
@@ -202,18 +200,17 @@ def cmd_hide(args):
     if not isinstance(secret, RgbImage):
         raise DimMismatch(f"secret must be a color PPM: {args.secret}")
     container, key = conceal(cover, secret, args.strength, args.seed, args.mode)
-    maxval = 255 if args.mode == "q8" else 65535
-    write_image(GrayImage(container.pixels), args.out, maxval=maxval)
+    # An exact (float) container is written at 16 bits.
+    write_image(container, args.out, maxval=container.maxval or 65535)
     write_key(key, args.key)
     return [args.out, args.key]
 
 
 def cmd_reveal(args):
     key = read_key(args.key)
-    img = read_image(args.container)
-    if not isinstance(img, GrayImage):
+    container = read_image(args.container)
+    if not isinstance(container, GrayImage):
         raise DimMismatch(f"container must be a grayscale PGM: {args.container}")
-    container = Container(img.pixels, key.mode, img.maxval)
     ref_secret = read_image(args.ref_secret) if args.ref_secret else None
     ref_cover = read_image(args.ref_cover) if args.ref_cover else None
     secret_est, cover_est, metrics = reveal(

@@ -3,7 +3,6 @@ sweeps, and component-dropout count estimation, with CSV and grayscale
 heatmap output.
 """
 
-import dataclasses
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from .errors import AllZeroSignal
 from .linalg import random_semi_orthonormal_pair
 from .reshuffle import reshuffle_from_seed
 from .rng import bulk_u64, derive_seed, gaussians
-from .solver import Problem, SolverConfig, decompose
+from .solver import Problem, SolverConfig, at_noise_floor, decompose
 
 MODES = ("rank_vs_size", "rank_vs_count")
 
@@ -220,29 +219,22 @@ class NoiseSweepSpec:
         _check_spec(self, "ranks", "snrs_db")
 
 
+# The noisy solves stop one decade below the noise floor: stopping exactly
+# at the relative noise magnitude halts after the first sweep with unusable
+# components, while a decade below it the recovered quality matches a
+# full-accuracy solve at a fraction of the iterations.
 NOISE_TOL_FACTOR = 0.1
-
-
-def _noisy_config(base, X_noisy, sigma):
-    """Relax the stopping tolerance toward the noise floor of the observation.
-
-    Stopping exactly at the relative noise magnitude halts after the first
-    sweep with unusable components; one decade below it the recovered
-    quality matches a full-accuracy solve at a fraction of the iterations.
-    """
-    floor = NOISE_TOL_FACTOR * sigma * np.sqrt(X_noisy.size) / np.linalg.norm(X_noisy)
-    return dataclasses.replace(base, tol=max(base.tol, float(floor)))
 
 
 def _noisy_solve(X, ops, snr_db, config, seed):
     """Solve X plus Gaussian noise at snr_db, drawn from derive_seed(seed, 1),
-    with the tolerance relaxed to the noise floor.  A zero X has no energy
-    to scale noise against and is solved as it is."""
+    with the tolerance relaxed toward the noise floor.  A zero X has no
+    energy to scale noise against and is solved as it is."""
     if not X.any():
         return decompose(Problem(X, ops), config)
     sigma = noise_sigma(X, snr_db)
     Xn = add_gaussian_noise(X, snr_db, derive_seed(seed, 1))
-    return decompose(Problem(Xn, ops), _noisy_config(config, Xn, sigma))
+    return decompose(Problem(Xn, ops), at_noise_floor(config, Xn, NOISE_TOL_FACTOR * sigma))
 
 
 def _noise_trial(spec, config, cell, seed):

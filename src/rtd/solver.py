@@ -9,6 +9,7 @@ partial SVD warm-started from the right singular subspace it kept in the
 previous sweep (``rtd.linalg.WarmStart``).
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -20,8 +21,6 @@ from .linalg import WarmStart, nuclear_norm, spectral_norm, svt_with_values
 # Residual blowing up past this multiple of its starting value aborts the run.
 DIVERGENCE_FACTOR = 1e6
 
-SCHEDULES = ("geometric", "harmonic")
-
 
 @dataclass
 class SolverConfig:
@@ -29,10 +28,8 @@ class SolverConfig:
 
     kappa0 defaults to 1.25 over the largest pullback spectral norm (1.0
     for a zero observation), so the first threshold sits just under the
-    biggest component any single operator could claim.  The geometric
-    schedule multiplies kappa by rho each iteration; the harmonic
-    schedule uses kappa0 * k, whose inverse sum diverges and so satisfies
-    the convergence theory that the geometric schedule does not.
+    biggest component any single operator could claim.  Each iteration
+    multiplies kappa by rho.
 
     The default rho = 1.02 was chosen by measurement: it solves the
     stego reveal and the phase grid in about 40% fewer sweeps than 1.01
@@ -45,7 +42,6 @@ class SolverConfig:
     kappa0: float | None = None
     max_iter: int = 2000
     tol: float = 1e-7
-    kappa_schedule: str = "geometric"
 
     def __post_init__(self):
         if not self.rho > 1.0:
@@ -56,8 +52,17 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.kappa_schedule not in SCHEDULES:
-            raise ValueError(f"kappa_schedule must be one of {SCHEDULES}")
+
+
+def at_noise_floor(config, X, sigma):
+    """config with tol raised to the relative size of noise of rms sigma in X.
+
+    Below sigma * sqrt(X.size) / ||X||_F the exact-fit constraint has only
+    the noise left to fit (the discrepancy principle); a floor below
+    config.tol leaves config.tol in effect.
+    """
+    floor = sigma * np.sqrt(X.size) / max(np.linalg.norm(X), 1e-300)
+    return dataclasses.replace(config, tol=max(config.tol, float(floor)))
 
 
 @dataclass
@@ -110,13 +115,6 @@ def default_kappa0(problem):
     return 1.25 / top
 
 
-def _kappa_at(config, k, kappa0):
-    """Penalty weight in effect during iteration k (1-indexed)."""
-    if config.kappa_schedule == "harmonic":
-        return kappa0 * k
-    return kappa0 * config.rho ** (k - 1)
-
-
 def _pullback(out, x, s, y, inv_kappa, op, a):
     """out = adjoint(x - s + y*inv_kappa) + a for a flat component a."""
     np.add(((x - s) + y * inv_kappa)[op.perm], a, out=out)
@@ -147,7 +145,7 @@ def decompose(problem, config=None):
 
         A_i <- svt( adjoint_i( X - sum_{j != i} R_j(A_j) + Y/kappa ), 1/kappa )
 
-    then Y += kappa * (X - sum_i R_i(A_i)) and kappa advances per schedule.
+    then Y += kappa * (X - sum_i R_i(A_i)) and kappa becomes kappa0 * rho**k.
     Stops when the primal residual relative to ||X||_F (absolute for a zero
     observation) drops to config.tol or max_iter is hit; raises
     DivergenceDetected if the residual blows up instead.
@@ -160,7 +158,9 @@ def decompose(problem, config=None):
     n_comp = len(ops)
 
     x = X.ravel()
-    norm_x = float(np.linalg.norm(x))
+    # An overflowing norm is caught by the isfinite check just below.
+    with np.errstate(over="ignore"):
+        norm_x = float(np.linalg.norm(x))
     if not math.isfinite(norm_x):
         raise NonFinite("observation norm overflows float64")
     scale = norm_x if norm_x > 0.0 else 1.0
@@ -179,7 +179,7 @@ def decompose(problem, config=None):
     divergence_ref = None
 
     for k in range(1, config.max_iter + 1):
-        kappa = _kappa_at(config, k, kappa0)
+        kappa = kappa0 * config.rho ** (k - 1)
         inv_kappa = 1.0 / kappa
         objective = 0.0
         delta_sq = 0.0
@@ -216,7 +216,7 @@ def decompose(problem, config=None):
             converged = True
             break
 
-    final_kappa = _kappa_at(config, iterations + 1, kappa0)
+    final_kappa = kappa0 * config.rho**iterations
     return SolverResult(
         components=comps,
         iterations=iterations,

@@ -6,7 +6,6 @@ key.  Revealing solves a 4-component decomposition: the cover under the
 identity reshuffle plus one seeded reshuffle per channel.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from .errors import DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMax
 from .netpbm import GrayImage, RgbImage
 from .reshuffle import reshuffle_from_seed, reshuffle_identity
 from .rng import derive_seed
-from .solver import Problem, decompose, SolverConfig
+from .solver import Problem, SolverConfig, at_noise_floor, decompose
 
 MODES = ("float", "q8")
 FORMAT_VERSION = "rtd-stego v1"
@@ -70,27 +69,12 @@ class StegoKey:
         ]
 
 
-@dataclass(frozen=True)
-class Container:
-    """Container pixels; maxval is the sample precision they were rounded
-    to (255 or 65535), or None when they are known exactly."""
-
-    pixels: np.ndarray  # (h, w) float64
-    mode: str = "float"
-    maxval: int | None = None
-
-    def __post_init__(self):
-        if self.maxval is not None and self.maxval not in FLOOR_FACTOR:
-            raise UnsupportedMaxval(
-                f"maxval must be one of {tuple(FLOOR_FACTOR)} or None, got {self.maxval}"
-            )
-
-
 def conceal(cover, secret, strength=0.05, master_seed=0, mode="float"):
     """Embed the secret's reshuffled channels into the cover.
 
-    Returns the container and the key holding everything needed to
-    reveal except the images themselves.
+    Returns the container image and the key holding everything needed to
+    reveal except the images themselves.  A q8 container is rounded to
+    maxval 255; a float one is exact (maxval None).
     """
     key = StegoKey(master_seed, cover.pixels.shape, secret.pixels.shape[:2], strength, mode)
     pixels = cover.pixels.astype(np.float64).copy()
@@ -98,35 +82,34 @@ def conceal(cover, secret, strength=0.05, master_seed=0, mode="float"):
         pixels += key.strength * op.apply(secret.pixels[:, :, c])
     if mode == "q8":
         pixels = np.rint(np.clip(pixels, 0.0, 1.0) * 255.0) / 255.0
-        return Container(pixels, mode, 255), key
-    return Container(pixels, mode), key
+        return GrayImage(pixels, 255), key
+    return GrayImage(pixels), key
 
 
 def _reveal_config(container, config):
-    """Raise the tolerance to the rounding floor of a rounded container.
-
-    Below FLOOR_FACTOR * rounding_rms per pixel, relative to the container's
-    norm, the exact-fit constraint has only rounding noise left to fit
-    (the discrepancy principle).  Exact containers keep config.tol.
-    """
+    """config, with a rounded container's tolerance raised to its rounding floor."""
     if config is None:
         config = SolverConfig()
     if container.maxval is None:
         return config
-    factor = FLOOR_FACTOR[container.maxval]
-    floor = factor * rounding_rms(container.maxval) * np.sqrt(container.pixels.size)
-    floor /= max(np.linalg.norm(container.pixels), 1e-300)
-    return dataclasses.replace(config, tol=max(config.tol, float(floor)))
+    if container.maxval not in FLOOR_FACTOR:
+        raise UnsupportedMaxval(
+            f"maxval must be one of {tuple(FLOOR_FACTOR)} or None, got {container.maxval}"
+        )
+    sigma = FLOOR_FACTOR[container.maxval] * rounding_rms(container.maxval)
+    return at_noise_floor(config, container.pixels, sigma)
 
 
 def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
     """Decompose the container back into cover and secret estimates.
 
-    Channel estimates are divided by the key strength and clamped to
-    [0, 1].  A rounded container (maxval set) stops at its rounding floor.
-    Metrics always carry the solver diagnostics, the tolerance in effect
-    and why the solve stopped; reference images add SIR numbers for
-    whatever they cover.
+    The container is a GrayImage whose maxval (255 or 65535) is the
+    precision its pixels were rounded to, or None when they are exact; a
+    rounded container stops at its rounding floor.  Channel estimates are
+    divided by the key strength and clamped to [0, 1].  Metrics always
+    carry the solver diagnostics, the tolerance in effect and why the
+    solve stopped; reference images add SIR numbers for whatever they
+    cover.
     """
     if container.pixels.shape != key.cover_dims:
         raise KeyMismatch(
@@ -134,9 +117,13 @@ def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
         )
     if key.version != FORMAT_VERSION:
         raise KeyMismatch(f"unsupported key version {key.version!r}")
+    for ref, kind, dims in ((ref_secret, RgbImage, key.secret_dims),
+                            (ref_cover, GrayImage, key.cover_dims)):
+        if ref is not None and not (isinstance(ref, kind) and ref.pixels.shape[:2] == dims):
+            raise DimMismatch(f"reference image must be a {dims[0]}x{dims[1]} {kind.__name__}")
+    config = _reveal_config(container, config)
     ch, cw = key.cover_dims
     ops = [reshuffle_identity(ch, cw, (ch, cw))] + key.channel_ops()
-    config = _reveal_config(container, config)
     result = decompose(Problem(container.pixels, ops), config)
     cover_est = GrayImage(np.clip(result.components[0], 0.0, 1.0))
     channels = [

@@ -92,10 +92,6 @@ def test_exact_recovery_certificate():
     assert exact_recovery_certificate([0.2, 0.24])
     assert not exact_recovery_certificate([0.2, 0.25])
     assert not exact_recovery_certificate([0.05, 0.5, 0.01])
-    with pytest.raises(ValueError):
-        exact_recovery_certificate([])
-    with pytest.raises(ValueError):
-        exact_recovery_certificate([-0.1])
 
 
 def test_tangent_basis_orthonormal():
@@ -209,3 +205,10 @@ def test_certificate_csv_golden():
         "0,0.2,0.25,not falsified\n"
         "1,0.3,0.25,falsified\n"
     )
+
+
+@pytest.mark.parametrize("check", [exact_recovery_certificate, certificate_csv])
+@pytest.mark.parametrize("mu_values", [[], [-0.1], [0.1, -0.1]])
+def test_mu_list_must_be_nonempty_and_nonnegative(check, mu_values):
+    with pytest.raises(ValueError):
+        check(mu_values)

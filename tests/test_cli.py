@@ -144,6 +144,15 @@ def test_decompose_operator_shape_mismatch_exits_2(tmp_path, capsys, no_permutat
     assert not (tmp_path / "o").exists()
 
 
+def test_schedule_flag_is_gone(tmp_path):
+    tensor, ops, _ = _write_instance(tmp_path)
+    assert main([
+        "decompose", "--tensor", str(tensor), "--ops", str(ops),
+        "--out-dir", str(tmp_path / "o"), "--schedule", "geometric",
+    ]) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_solver_flag_defaults_are_the_config_defaults():
     args = cli.build_parser().parse_args(
         ["decompose", "--tensor", "x.rtd", "--ops", "ops.txt", "--out-dir", "o"]
@@ -371,6 +380,39 @@ def test_reveal_with_wrong_size_container_exits_2(tmp_path, capsys):
         "reveal", "--container", str(other), "--key", str(key),
         "--out", str(tmp_path / "s.ppm"),
     ]) == 2
+
+
+@pytest.mark.parametrize("flag,image", [
+    ("--ref-secret", GrayImage(np.zeros((32, 32)))),
+    ("--ref-secret", RgbImage(np.zeros((16, 16, 3)))),
+    ("--ref-cover", RgbImage(np.zeros((32, 32, 3)))),
+    ("--ref-cover", GrayImage(np.zeros((16, 16)))),
+])
+def test_reveal_with_wrong_reference_image_exits_2_before_solving(
+    flag, image, tmp_path, capsys, monkeypatch
+):
+    cover_path, secret_path = _write_images(tmp_path)
+    container = tmp_path / "container.pgm"
+    key = tmp_path / "stego.key"
+    assert main([
+        "hide", "--cover", str(cover_path), "--secret", str(secret_path),
+        "--out", str(container), "--key", str(key),
+    ]) == 0
+    ref = tmp_path / ("ref.ppm" if isinstance(image, RgbImage) else "ref.pgm")
+    write_image(image, ref)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reveal built operators or solved")
+
+    monkeypatch.setattr(reshuffle, "random_permutation", refuse)
+    monkeypatch.setattr(stego, "decompose", refuse)
+    capsys.readouterr()
+    assert main([
+        "reveal", "--container", str(container), "--key", str(key),
+        "--out", str(tmp_path / "s.ppm"), flag, str(ref),
+    ]) == 2
+    assert "rtd: reference image must be a" in capsys.readouterr().err
+    assert not (tmp_path / "s.ppm").exists()
 
 
 def _write_components(tmp_path, n=6):

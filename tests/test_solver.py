@@ -78,14 +78,6 @@ def test_geometric_kappa_schedule_exact():
     assert result.final_kappa == 2.0 * 1.5**5
 
 
-def test_harmonic_kappa_schedule_exact():
-    problem, _ = two_component_problem()
-    config = SolverConfig(kappa0=0.5, max_iter=4, tol=1e-30, kappa_schedule="harmonic")
-    result = decompose(problem, config)
-    assert result.kappa_history == [0.5, 1.0, 1.5, 2.0]
-    assert result.final_kappa == 2.5
-
-
 def test_default_kappa0_value():
     op = reshuffle_identity(2, 2, (4,))
     X = op.apply(np.diag([4.0, 1.0]))
@@ -176,7 +168,6 @@ def test_config_validation():
         {"kappa0": 0.0},
         {"max_iter": 0},
         {"tol": 0.0},
-        {"kappa_schedule": "bogus"},
     ):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+import rtd.stego as stego
 from rtd.analysis import tsir
 from rtd.errors import DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMaxval
 from rtd.netpbm import GrayImage, RgbImage
 from rtd.solver import SolverConfig
 from rtd.stego import (
     FORMAT_VERSION,
-    Container,
     StegoKey,
     _reveal_config,
     conceal,
@@ -58,7 +58,7 @@ def test_conceal_deterministic_and_seed_sensitive():
 def test_q8_container_is_byte_quantized():
     cover, secret = small_pair()
     container, key = conceal(cover, secret, strength=0.05, master_seed=5, mode="q8")
-    assert container.mode == "q8"
+    assert isinstance(container, GrayImage)
     assert container.maxval == 255
     assert key.mode == "q8"
     levels = container.pixels * 255.0
@@ -203,8 +203,18 @@ def test_reveal_config_floor_follows_maxval():
     assert _reveal_config(q8, config).tol == old_q8
     # a floor below the requested tolerance leaves the tolerance alone
     assert _reveal_config(q8, SolverConfig(tol=1.0)).tol == 1.0
+
+
+def test_reveal_rejects_other_maxvals_before_solving(monkeypatch):
+    cover, secret = small_pair(h=8, w=8)
+    container, key = conceal(cover, secret)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(stego, "decompose", refuse)
     with pytest.raises(UnsupportedMaxval):
-        Container(pixels, maxval=1023)
+        reveal(GrayImage(container.pixels, maxval=1023), key)
 
 
 def test_16bit_container_stops_at_its_rounding_floor():
@@ -218,7 +228,7 @@ def test_16bit_container_stops_at_its_rounding_floor():
     refs = [secret.pixels[:, :, c] for c in range(3)]
     runs = []
     for maxval in (65535, None):
-        est, _, metrics = reveal(Container(pixels, maxval=maxval), key)
+        est, _, metrics = reveal(GrayImage(pixels, maxval=maxval), key)
         assert metrics["converged"]
         est8 = _rounded(est.pixels, 255)
         runs.append((metrics["iterations"], tsir(refs, [est8[:, :, c] for c in range(3)])))
