@@ -236,26 +236,6 @@ def estimate_component_count(components, eta):
     return sum(1 for v in norms if v > cut)
 
 
-def cross_spectrum_report(A, ops, i):
-    """Numerical rank and singular-value spread of each cross-mapped component.
-
-    Returns a list of (j, rank, s_min, s_max) for every j != i, where the
-    spectrum is that of adjoint_j(apply_i(A)).  Lets callers verify, not
-    assume, that cross-mapped matrices are full rank on generated data.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if not 0 <= i < len(ops):
-        raise BadIndex(f"component index {i} out of range for {len(ops)} operators")
-    rows = []
-    for j, op_j in enumerate(ops):
-        if j == i:
-            continue
-        B = op_j.adjoint(ops[i].apply(A))
-        S = np.linalg.svd(B, compute_uv=False)
-        rows.append((j, numerical_rank(S), float(S[-1]), float(S[0])))
-    return rows
-
-
 def certificate_csv(mu_values):
     """One CSV line per component: index, lower bound, threshold, verdict."""
     mu_values = _mu_list(mu_values)

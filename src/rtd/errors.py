@@ -38,7 +38,7 @@ class DimMismatch(RtdError):
 
 
 class StrengthOutOfRange(RtdError):
-    """Embedding strength must be positive."""
+    """Embedding strength must be finite and positive."""
 
 
 class KeyMismatch(RtdError):

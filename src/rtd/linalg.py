@@ -71,8 +71,6 @@ OVERSAMPLE = 6
 POWER_STEPS = 2
 # A block is accepted once this many of its Ritz values fall below alpha.
 TAIL_BELOW = 2
-# Seed of the Gaussian columns that widen a block found too small.
-GROW_SEED = 0x5B7D_11F0
 
 
 def _orth(A):
@@ -82,26 +80,22 @@ def _orth(A):
 def _partial_svd(M, alpha, V):
     """Leading singular triplets of M from a warm start basis V (n x w).
 
-    Block subspace iteration with a Rayleigh-Ritz step (Halko, Martinsson
-    and Tropp 2011, arXiv:0909.4061).  The block doubles, with extra
-    columns from rtd.rng, until TAIL_BELOW Ritz values fall below alpha;
-    returns None once it would exceed min(m, n) / 4, where a full SVD is
-    cheaper.
+    Block subspace iteration on the start block alone, with a Rayleigh-Ritz
+    step (Halko, Martinsson and Tropp 2011, arXiv:0909.4061).  Returns
+    None, so the caller runs the full SVD, when the block is wider than
+    min(m, n) / 4, where a full SVD is cheaper, or when fewer than
+    TAIL_BELOW Ritz values fall below alpha.
     """
-    m, n = M.shape
-    limit = min(m, n) // 4
-    while V.shape[1] <= limit:
-        Q = V
-        for _ in range(POWER_STEPS):
-            Q = _orth(M.T @ _orth(M @ Q))
-        Q = _orth(M @ Q)
-        Ub, S, Vt = np.linalg.svd(Q.T @ M, full_matrices=False)
-        if S.size >= TAIL_BELOW and S[-TAIL_BELOW] < alpha:
-            return Q @ Ub, S, Vt
-        w = V.shape[1]
-        extra = gaussians(n * w, derive_seed(GROW_SEED, w)).reshape(n, w)
-        V = _orth(np.hstack([Vt.T, extra]))
-    return None
+    if V.shape[1] > min(M.shape) // 4:
+        return None
+    Q = V
+    for _ in range(POWER_STEPS):
+        Q = _orth(M.T @ _orth(M @ Q))
+    Q = _orth(M @ Q)
+    Ub, S, Vt = np.linalg.svd(Q.T @ M, full_matrices=False)
+    if S.size < TAIL_BELOW or S[-TAIL_BELOW] >= alpha:
+        return None
+    return Q @ Ub, S, Vt
 
 
 def svt_with_values(M, alpha, warm=None):
@@ -112,7 +106,7 @@ def svt_with_values(M, alpha, warm=None):
     full SVD.  With a ``WarmStart`` it is ``_partial_svd`` from the
     subspace the previous call kept, accurate to the subspace iteration,
     and ``warm`` is advanced; the full SVD still runs on the first call and
-    whenever the block would exceed min(m, n) / 4.
+    whenever ``_partial_svd`` returns None.
     """
     M = _as_finite_matrix(M)
     factors = None

@@ -44,14 +44,14 @@ class SolverConfig:
     tol: float = 1e-7
 
     def __post_init__(self):
-        if not self.rho > 1.0:
-            raise ValueError(f"rho must be > 1, got {self.rho}")
-        if self.kappa0 is not None and not self.kappa0 > 0.0:
-            raise ValueError(f"kappa0 must be > 0, got {self.kappa0}")
+        if not 1.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be finite and > 1, got {self.rho}")
+        if self.kappa0 is not None and not 0.0 < self.kappa0 < math.inf:
+            raise ValueError(f"kappa0 must be finite and > 0, got {self.kappa0}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 def at_noise_floor(config, X, sigma):
@@ -130,13 +130,6 @@ def _add_reshuffled(out, op, v):
     np.add(out, v[op.inv_perm], out=out)
 
 
-def _rebuild_sum(out, ops, comps):
-    """out = sum_i R_i(A_i), added in component order."""
-    out[:] = 0.0
-    for op, a in zip(ops, comps):
-        _add_reshuffled(out, op, a.ravel())
-
-
 def decompose(problem, config=None):
     """Run the alternating singular-value-thresholding scheme.
 
@@ -170,8 +163,9 @@ def decompose(problem, config=None):
     comps = [np.ascontiguousarray(op.adjoint(X) / n_comp) for op in ops]
     bufs = [np.empty(op.size) for op in ops]
     warm = [WarmStart() for _ in ops]
-    s_sum = np.empty(x.size)
-    _rebuild_sum(s_sum, ops, comps)
+    s_sum = np.zeros(x.size)
+    for op, a in zip(ops, comps):
+        _add_reshuffled(s_sum, op, a.ravel())
 
     residuals, objectives, kappas, duals = [], [], [], []
     converged = False
@@ -193,9 +187,6 @@ def decompose(problem, config=None):
             delta_sq += float(d @ d)
             _add_reshuffled(s_sum, op, d)
             comps[i] = a_new
-        # Refresh the running sum from scratch so the rounding of the
-        # incremental updates cannot accumulate across iterations.
-        _rebuild_sum(s_sum, ops, comps)
         diff = x - s_sum
         y += kappa * diff
         residual = float(np.linalg.norm(diff)) / scale

@@ -41,11 +41,10 @@ class StegoKey:
     secret_dims: tuple
     strength: float
     mode: str = "float"
-    version: str = FORMAT_VERSION
 
     def __post_init__(self):
-        if self.strength <= 0:
-            raise StrengthOutOfRange(f"strength must be positive, got {self.strength}")
+        if not 0 < self.strength < np.inf:
+            raise StrengthOutOfRange(f"strength must be finite and positive, got {self.strength}")
         if self.mode not in MODES:
             raise KeyMismatch(f"mode must be one of {MODES}, got {self.mode!r}")
         ch, cw = (int(d) for d in self.cover_dims)
@@ -115,8 +114,6 @@ def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
         raise KeyMismatch(
             f"container is {container.pixels.shape}, key says {key.cover_dims}"
         )
-    if key.version != FORMAT_VERSION:
-        raise KeyMismatch(f"unsupported key version {key.version!r}")
     for ref, kind, dims in ((ref_secret, RgbImage, key.secret_dims),
                             (ref_cover, GrayImage, key.cover_dims)):
         if ref is not None and not (isinstance(ref, kind) and ref.pixels.shape[:2] == dims):
@@ -149,7 +146,7 @@ def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
 
 def write_key(key, path):
     lines = [
-        key.version,
+        FORMAT_VERSION,
         f"seed {key.master_seed}",
         f"cover {key.cover_dims[0]} {key.cover_dims[1]}",
         f"secret {key.secret_dims[0]} {key.secret_dims[1]}",

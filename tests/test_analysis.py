@@ -5,7 +5,6 @@ from rtd.analysis import (
     DB_CAP,
     certificate_csv,
     certificate_threshold,
-    cross_spectrum_report,
     estimate_component_count,
     exact_recovery_certificate,
     incoherence_lower_bound,
@@ -16,7 +15,7 @@ from rtd.analysis import (
     tsir,
 )
 from rtd.errors import AllZeroSignal, BadIndex, DegenerateRank, ShapeMismatch
-from rtd.linalg import random_semi_orthonormal_pair, spectral_norm
+from rtd.linalg import random_semi_orthonormal_pair
 from rtd.reshuffle import reshuffle_from_seed, reshuffle_identity
 from rtd.rng import gaussians
 
@@ -181,21 +180,6 @@ def test_estimate_component_count():
     assert estimate_component_count([], 0.1) == 0
     with pytest.raises(ValueError):
         estimate_component_count(comps, 0.0)
-
-
-def test_cross_spectrum_report():
-    U, V = random_semi_orthonormal_pair(5, 1, 4)
-    A = U @ V.T
-    ops = [reshuffle_from_seed(5, 5, (25,), s) for s in (1, 2, 3)]
-    rows = cross_spectrum_report(A, ops, 1)
-    assert [row[0] for row in rows] == [0, 2]
-    for j, rank, s_min, s_max in rows:
-        assert rank == 5  # generic permutations scatter a rank-1 matrix to full rank
-        assert 0 < s_min <= s_max
-        B = ops[j].adjoint(ops[1].apply(A))
-        assert s_max == pytest.approx(spectral_norm(B), rel=1e-12)
-    with pytest.raises(BadIndex):
-        cross_spectrum_report(A, ops, 5)
 
 
 def test_certificate_csv_golden():

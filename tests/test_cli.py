@@ -153,6 +153,17 @@ def test_schedule_flag_is_gone(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag", ["--rho", "--kappa0", "--tol"])
+def test_decompose_refuses_an_infinite_solver_parameter(flag, tmp_path, capsys):
+    tensor, ops, _ = _write_instance(tmp_path)
+    assert main([
+        "decompose", "--tensor", str(tensor), "--ops", str(ops),
+        "--out-dir", str(tmp_path / "o"), flag, "inf",
+    ]) == 2
+    assert f"rtd: {flag[2:]} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_solver_flag_defaults_are_the_config_defaults():
     args = cli.build_parser().parse_args(
         ["decompose", "--tensor", "x.rtd", "--ops", "ops.txt", "--out-dir", "o"]
@@ -364,6 +375,38 @@ def test_hide_rejects_color_cover(tmp_path):
         "hide", "--cover", str(secret_path), "--secret", str(secret_path),
         "--out", str(tmp_path / "c.pgm"), "--key", str(tmp_path / "k"),
     ]) == 2
+
+
+@pytest.mark.parametrize("strength", ["nan", "inf"])
+def test_hide_refuses_a_non_finite_strength(strength, tmp_path, capsys):
+    cover_path, secret_path = _write_images(tmp_path)
+    container = tmp_path / "container.pgm"
+    key = tmp_path / "stego.key"
+    assert main([
+        "hide", "--cover", str(cover_path), "--secret", str(secret_path),
+        "--out", str(container), "--key", str(key), "--strength", strength,
+    ]) == 2
+    assert "rtd: strength must be finite and positive" in capsys.readouterr().err
+    assert not container.exists() and not key.exists()
+
+
+@pytest.mark.parametrize("strength", ["nan", "inf"])
+def test_reveal_refuses_a_key_with_non_finite_strength(strength, tmp_path, capsys):
+    cover_path, secret_path = _write_images(tmp_path)
+    container = tmp_path / "container.pgm"
+    key = tmp_path / "stego.key"
+    assert main([
+        "hide", "--cover", str(cover_path), "--secret", str(secret_path),
+        "--out", str(container), "--key", str(key), "--strength", "0.05",
+    ]) == 0
+    key.write_text(key.read_text().replace("strength 0.05\n", f"strength {strength}\n"))
+    capsys.readouterr()
+    assert main([
+        "reveal", "--container", str(container), "--key", str(key),
+        "--out", str(tmp_path / "s.ppm"),
+    ]) == 2
+    assert "rtd: strength must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "s.ppm").exists()
 
 
 def test_reveal_with_wrong_size_container_exits_2(tmp_path, capsys):

@@ -166,8 +166,8 @@ def partial_calls(monkeypatch):
 
 
 @pytest.fixture
-def grow_draws(monkeypatch):
-    """Count of Gaussian blocks drawn to widen a partial SVD."""
+def gaussian_draws(monkeypatch):
+    """Count of Gaussian blocks drawn while thresholding."""
     draws = []
     real = linalg_mod.gaussians
 
@@ -197,31 +197,32 @@ def test_warm_partial_svt_matches_full(partial_calls):
         assert warm.basis.shape == (n, 5 + OVERSAMPLE)
 
 
-def test_partial_svt_grows_a_small_block(partial_calls, grow_draws):
+def test_partial_svt_missed_block_runs_the_full_svd(partial_calls, gaussian_draws):
+    # Ten singular values above alpha: a 3-column block misses the tail, and
+    # the full SVD runs in place of a wider block.
     M = gapped_matrix(120, 120, np.arange(11.0, 1.0, -1.0), 4, tail=0.01)
     warm = WarmStart()
     warm.basis = orthonormal(120, 3, 5)
     out, values = svt_with_values(M, 0.5, warm)
-    assert partial_calls[-1] is not None
-    assert grow_draws == [120 * 3, 120 * 6]  # 3 -> 6 -> 12 columns
+    assert partial_calls == [None] and gaussian_draws == []
     expect, expect_values = svt_with_values(M, 0.5)
-    assert np.abs(out - expect).max() <= 1e-8
-    assert np.abs(values - expect_values).max() <= 1e-8
-    assert warm.basis.shape == (120, 12)
+    assert np.array_equal(out, expect)
+    assert np.array_equal(values, expect_values)
+    assert warm.basis.shape == (120, 10 + OVERSAMPLE)
 
 
-def test_partial_svt_falls_back_above_quarter_size(partial_calls, grow_draws):
+def test_partial_svt_falls_back_above_quarter_size(partial_calls, gaussian_draws):
     M = random_matrix(40, 40, 6)
     expect = svt(M, 1e-3)
     # A start block wider than min(m, n) / 4 goes straight to the full SVD.
     warm = WarmStart()
     warm.basis = orthonormal(40, 11, 7)
     assert np.array_equal(svt_with_values(M, 1e-3, warm)[0], expect)
-    assert partial_calls == [None] and grow_draws == []
-    # A full-rank matrix keeps growing the block past the limit.
+    assert partial_calls == [None] and gaussian_draws == []
+    # A full-rank matrix misses with any block, and the full SVD runs once.
     warm.basis = orthonormal(40, 4, 7)
     assert np.array_equal(svt_with_values(M, 1e-3, warm)[0], expect)
-    assert partial_calls == [None, None] and grow_draws == [40 * 4, 40 * 8]
+    assert partial_calls == [None, None] and gaussian_draws == []
 
 
 def test_partial_svt_large_alpha_gives_zero(partial_calls):

@@ -117,8 +117,8 @@ def test_pullback_matches_numpy():
 
 
 def test_gather_rebuild_matches_scatter_path(monkeypatch):
-    # Both the per-component Gauss-Seidel update of the running sum and its
-    # rebuild after each sweep go through _add_reshuffled.
+    # Both the initial build of the running sum and its per-component
+    # Gauss-Seidel update go through _add_reshuffled.
     calls = []
 
     def scatter_add(out, op, v):
@@ -132,9 +132,9 @@ def test_gather_rebuild_matches_scatter_path(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(solver_mod, "_add_reshuffled", scatter_add)
             scattered = decompose(problem)
-        # one update per component per sweep, plus a rebuild before the
-        # first sweep and after each one
-        assert len(calls) == 2 * (2 * scattered.iterations + 1)
+        # one term per component for the initial sum, then one update per
+        # component per sweep
+        assert len(calls) == 2 * (scattered.iterations + 1)
         assert gathered.residual_history == scattered.residual_history
         for a, b in zip(gathered.components, scattered.components):
             assert np.array_equal(a, b)
@@ -165,9 +165,15 @@ def test_nonfinite_observation_rejected():
 def test_config_validation():
     for kwargs in (
         {"rho": 1.0},
+        {"rho": np.inf},
+        {"rho": np.nan},
         {"kappa0": 0.0},
+        {"kappa0": np.inf},
+        {"kappa0": np.nan},
         {"max_iter": 0},
         {"tol": 0.0},
+        {"tol": np.inf},
+        {"tol": np.nan},
     ):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
@@ -186,6 +192,16 @@ def test_primal_residual_matches_history():
     result = decompose(problem)
     recomputed = primal_residual(problem, result.components)
     assert recomputed == pytest.approx(result.residual_history[-1], abs=1e-15)
+
+
+def test_running_sum_stays_exact_over_long_runs():
+    # The running sum is updated in place every sweep and never rebuilt, so
+    # its rounding must not build up into the reported residual.
+    problem, _ = two_component_problem()
+    result = decompose(problem, SolverConfig(tol=1e-30))
+    assert result.iterations == 2000
+    recomputed = primal_residual(problem, result.components)
+    assert abs(result.residual_history[-1] - recomputed) <= 1e-13
 
 
 def test_primal_residual_shape_check():

@@ -7,7 +7,6 @@ from rtd.errors import DimMismatch, KeyMismatch, StrengthOutOfRange, Unsupported
 from rtd.netpbm import GrayImage, RgbImage
 from rtd.solver import SolverConfig
 from rtd.stego import (
-    FORMAT_VERSION,
     StegoKey,
     _reveal_config,
     conceal,
@@ -122,16 +121,16 @@ def test_strength_scaling_consistency():
 
 
 def test_key_validation():
-    with pytest.raises(StrengthOutOfRange):
-        StegoKey(0, (4, 4), (4, 4), 0.0)
+    for strength in (0.0, np.nan, np.inf):
+        with pytest.raises(StrengthOutOfRange):
+            StegoKey(0, (4, 4), (4, 4), strength)
     with pytest.raises(DimMismatch):
         StegoKey(0, (4, 4), (4, 5), 0.05)
     with pytest.raises(DimMismatch):
         StegoKey(0, (0, 4), (2, 2), 0.05)
     with pytest.raises(KeyMismatch):
         StegoKey(0, (4, 4), (2, 8), 0.05, mode="hex")
-    key = StegoKey(0, (4, 4), (2, 8), 0.05)
-    assert key.version == FORMAT_VERSION
+    StegoKey(0, (4, 4), (2, 8), 0.05)
 
 
 def test_reveal_rejects_mismatched_key():
@@ -140,12 +139,6 @@ def test_reveal_rejects_mismatched_key():
     bad_dims = StegoKey(key.master_seed, (16, 64), (16, 64), key.strength)
     with pytest.raises(KeyMismatch):
         reveal(container, bad_dims)
-    bad_version = StegoKey(
-        key.master_seed, key.cover_dims, key.secret_dims, key.strength,
-        version="rtd-stego v9",
-    )
-    with pytest.raises(KeyMismatch):
-        reveal(container, bad_version)
 
 
 def test_key_file_roundtrip(tmp_path):
@@ -174,6 +167,9 @@ def test_read_key_rejects_garbage(tmp_path):
         read_key(path)
     path.write_text("rtd-stego v1\nseed x\ncover 4 4\nsecret 4 4\nstrength 0.1\nmode float\n")
     with pytest.raises(KeyMismatch):
+        read_key(path)
+    path.write_text("rtd-stego v1\nseed 1\ncover 4 4\nsecret 4 4\nstrength nan\nmode float\n")
+    with pytest.raises(StrengthOutOfRange):
         read_key(path)
 
 
