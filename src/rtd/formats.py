@@ -108,8 +108,11 @@ def write_ops(specs, path):
 
 
 def read_ops(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise MalformedHeader(f"operator file {path} is not text: {exc}") from None
     if not lines or lines[0] != OPS_MAGIC:
         raise MalformedHeader(f"bad magic line in {path}")
     specs = []

@@ -4,9 +4,11 @@ Recovers matrices A_1..A_N from an observation X = sum_i R_i(A_i) by
 minimizing the sum of nuclear norms subject to that equality constraint.
 Each sweep updates the components sequentially (Gauss-Seidel) through a
 singular-value soft-threshold, then performs dual ascent on the multiplier
-tensor and grows the penalty weight kappa.  Each component's threshold is a
-partial SVD warm-started from the right singular subspace it kept in the
-previous sweep (``rtd.linalg.WarmStart``).
+tensor and grows the penalty weight kappa by the factor rho.  The sweep
+carries one running vector, the scaled residual X - sum_i R_i(A_i) +
+Y/kappa, and a kappa that overflows float64 raises NonFinite.  Each
+component's threshold is a partial SVD warm-started from the right singular
+subspace it kept in the previous sweep (``rtd.linalg.WarmStart``).
 """
 
 import dataclasses
@@ -89,7 +91,6 @@ class SolverResult:
     iterations: int
     converged: bool
     residual_history: list
-    final_kappa: float
     # Per-iteration metadata, parallel to residual_history.
     objective_history: list = field(default_factory=list)
     kappa_history: list = field(default_factory=list)
@@ -115,21 +116,6 @@ def default_kappa0(problem):
     return 1.25 / top
 
 
-def _pullback(out, x, s, y, inv_kappa, op, a):
-    """out = adjoint(x - s + y*inv_kappa) + a for a flat component a."""
-    np.add(((x - s) + y * inv_kappa)[op.perm], a, out=out)
-
-
-def _add_reshuffled(out, op, v):
-    """out += R(v) for a flat component v.
-
-    Gathering through inv_perm adds the same terms in the same order as
-    scattering through perm, so the result is bit-identical, and a gather
-    is about 3x cheaper than a scatter.
-    """
-    np.add(out, v[op.inv_perm], out=out)
-
-
 def decompose(problem, config=None):
     """Run the alternating singular-value-thresholding scheme.
 
@@ -139,16 +125,20 @@ def decompose(problem, config=None):
         A_i <- svt( adjoint_i( X - sum_{j != i} R_j(A_j) + Y/kappa ), 1/kappa )
 
     then Y += kappa * (X - sum_i R_i(A_i)) and kappa becomes kappa0 * rho**k.
+    The sweep carries one running vector r = X - sum_i R_i(A_i) + Y/kappa
+    (the scaled dual form of ADMM), so a component's pullback is
+    adjoint_i(r) + A_i and its update subtracts R_i(new A_i - old A_i);
+    kappa is a running product.
     Stops when the primal residual relative to ||X||_F (absolute for a zero
     observation) drops to config.tol or max_iter is hit; raises
-    DivergenceDetected if the residual blows up instead.
+    DivergenceDetected if the residual blows up instead, and NonFinite if
+    kappa overflows float64 before a sweep that still has to run.
     """
     if config is None:
         config = SolverConfig()
     X, ops = problem.X, problem.ops
     if not np.isfinite(X).all():
         raise NonFinite("observation contains NaN or Inf")
-    n_comp = len(ops)
 
     x = X.ravel()
     # An overflowing norm is caught by the isfinite check just below.
@@ -157,41 +147,37 @@ def decompose(problem, config=None):
     if not math.isfinite(norm_x):
         raise NonFinite("observation norm overflows float64")
     scale = norm_x if norm_x > 0.0 else 1.0
-    kappa0 = config.kappa0 if config.kappa0 is not None else default_kappa0(problem)
+    # A Python float, so that kappa *= rho overflows to inf without a NumPy warning.
+    kappa = float(config.kappa0 if config.kappa0 is not None else default_kappa0(problem))
 
     y = np.sign(x)
-    comps = [np.ascontiguousarray(op.adjoint(X) / n_comp) for op in ops]
-    bufs = [np.empty(op.size) for op in ops]
+    comps = [np.ascontiguousarray(op.adjoint(X) / len(ops)) for op in ops]
     warm = [WarmStart() for _ in ops]
-    s_sum = np.zeros(x.size)
+    r = x + y / kappa
     for op, a in zip(ops, comps):
-        _add_reshuffled(s_sum, op, a.ravel())
+        r -= a.ravel()[op.inv_perm]
 
     residuals, objectives, kappas, duals = [], [], [], []
     converged = False
-    iterations = 0
     divergence_ref = None
 
     for k in range(1, config.max_iter + 1):
-        kappa = kappa0 * config.rho ** (k - 1)
-        inv_kappa = 1.0 / kappa
         objective = 0.0
         delta_sq = 0.0
         for i, op in enumerate(ops):
             a_old = comps[i]
-            buf = bufs[i]
-            _pullback(buf, x, s_sum, y, inv_kappa, op, a_old.ravel())
-            a_new, values = svt_with_values(buf.reshape(op.m, op.n), inv_kappa, warm[i])
+            pulled = r[op.perm] + a_old.ravel()
+            a_new, values = svt_with_values(pulled.reshape(op.m, op.n), 1.0 / kappa, warm[i])
             objective += float(values.sum())
             d = (a_new - a_old).ravel()
             delta_sq += float(d @ d)
-            _add_reshuffled(s_sum, op, d)
+            # r -= R(d), gathered through inv_perm: about 3x cheaper than scattering through perm.
+            r -= d[op.inv_perm]
             comps[i] = a_new
-        diff = x - s_sum
+        diff = r - y / kappa
         y += kappa * diff
         residual = float(np.linalg.norm(diff)) / scale
 
-        iterations = k
         residuals.append(residual)
         objectives.append(objective)
         kappas.append(kappa)
@@ -206,14 +192,17 @@ def decompose(problem, config=None):
         if residual <= config.tol:
             converged = True
             break
+        if k < config.max_iter:
+            kappa *= config.rho
+            if math.isinf(kappa):
+                raise NonFinite(f"kappa overflows float64 before iteration {k + 1}")
+            r = diff + y / kappa
 
-    final_kappa = kappa0 * config.rho**iterations
     return SolverResult(
         components=comps,
-        iterations=iterations,
+        iterations=len(residuals),
         converged=converged,
         residual_history=residuals,
-        final_kappa=final_kappa,
         objective_history=objectives,
         kappa_history=kappas,
         dual_history=duals,

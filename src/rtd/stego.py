@@ -158,8 +158,11 @@ def write_key(key, path):
 
 
 def read_key(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise KeyMismatch(f"key file {path} is not text: {exc}") from None
     if not lines or lines[0] != FORMAT_VERSION:
         raise KeyMismatch(f"unsupported key file version: {lines[:1]}")
     fields = {}

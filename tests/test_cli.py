@@ -164,6 +164,18 @@ def test_decompose_refuses_an_infinite_solver_parameter(flag, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_decompose_exits_2_when_kappa_overflows(tmp_path, capsys):
+    tensor, ops, _ = _write_instance(tmp_path)
+    assert main([
+        "decompose", "--tensor", str(tensor), "--ops", str(ops),
+        "--out-dir", str(tmp_path / "o"), "--rho", "1e200", "--tol", "1e-30",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "rtd: kappa overflows float64" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_solver_flag_defaults_are_the_config_defaults():
     args = cli.build_parser().parse_args(
         ["decompose", "--tensor", "x.rtd", "--ops", "ops.txt", "--out-dir", "o"]

@@ -103,6 +103,9 @@ def test_read_ops_malformed(tmp_path):
         path.write_text(text)
         with pytest.raises(MalformedHeader):
             read_ops(path)
+    path.write_bytes(b"rtd-ops v1\nidentity 2 2 \xff\n")
+    with pytest.raises(MalformedHeader, match="not text"):
+        read_ops(path)
 
 
 def test_magics_exported():

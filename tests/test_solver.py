@@ -7,7 +7,6 @@ from rtd.errors import DivergenceDetected, NonFinite, ShapeMismatch
 from rtd.experiments import make_instance
 from rtd.linalg import random_semi_orthonormal_pair
 from rtd.reshuffle import reshuffle_from_seed, reshuffle_identity
-from rtd.rng import gaussians
 from rtd.solver import (
     Problem,
     SolverConfig,
@@ -75,7 +74,6 @@ def test_geometric_kappa_schedule_exact():
     config = SolverConfig(kappa0=2.0, rho=1.5, max_iter=5, tol=1e-30)
     result = decompose(problem, config)
     assert result.kappa_history == [2.0 * 1.5**k for k in range(5)]
-    assert result.final_kappa == 2.0 * 1.5**5
 
 
 def test_default_kappa0_value():
@@ -108,36 +106,51 @@ def test_divergence_detected(monkeypatch):
         decompose(problem, SolverConfig(max_iter=2000, tol=1e-12))
 
 
-def test_pullback_matches_numpy():
-    op = reshuffle_from_seed(10, 20, (200,), 5)
-    x, s, y, a = (gaussians(200, seed) for seed in range(4))
-    out = np.empty(200)
-    solver_mod._pullback(out, x, s, y, 0.25, op, a)
-    assert np.array_equal(out, (x - s + y * 0.25)[op.perm] + a)
+def _reference_decompose(problem, kappa0, rho, iterations):
+    """The update of decompose's docstring, transcribed without its running
+    vector: a fresh sum of the other components per update, a full-SVD
+    threshold and kappa = kappa0 * rho**(k - 1)."""
+    x, ops = problem.X.ravel(), problem.ops
+    y = np.sign(x)
+    comps = [op.adjoint(problem.X) / len(ops) for op in ops]
+    residuals = []
+    for k in range(1, iterations + 1):
+        kappa = kappa0 * rho ** (k - 1)
+        for i, op in enumerate(ops):
+            others = sum(ops[j].apply(comps[j]).ravel() for j in range(len(ops)) if j != i)
+            U, sv, Vt = np.linalg.svd(op.adjoint(x - others + y / kappa), full_matrices=False)
+            comps[i] = (U * np.maximum(sv - 1.0 / kappa, 0.0)) @ Vt
+        diff = x - sum(op.apply(a).ravel() for op, a in zip(ops, comps))
+        y = y + kappa * diff
+        residuals.append(np.linalg.norm(diff) / np.linalg.norm(x))
+    return comps, residuals
 
 
-def test_gather_rebuild_matches_scatter_path(monkeypatch):
-    # Both the initial build of the running sum and its per-component
-    # Gauss-Seidel update go through _add_reshuffled.
-    calls = []
+@pytest.mark.parametrize("n", [12, 16])
+def test_running_vector_matches_the_plain_update(n):
+    # At these sizes every warm block is wider than min(m, n) // 4, so each
+    # threshold is a full SVD, as in the reference.
+    problem, _ = two_component_problem(n=n)
+    config = SolverConfig(max_iter=200, tol=1e-30)
+    result = decompose(problem, config)
+    assert result.iterations == 200
+    comps, residuals = _reference_decompose(problem, default_kappa0(problem), config.rho, 200)
+    for got, want in zip(result.components, comps):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.allclose(result.residual_history, residuals, rtol=0.0, atol=1e-13)
 
-    def scatter_add(out, op, v):
-        calls.append(op)
-        out[op.perm] += v
 
-    for n, r, seed in ((12, 1, 0), (40, 2, 5), (48, 3, 9)):
-        problem, _ = two_component_problem(n=n, r=r, seed=seed)
-        gathered = decompose(problem)
-        calls.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(solver_mod, "_add_reshuffled", scatter_add)
-            scattered = decompose(problem)
-        # one term per component for the initial sum, then one update per
-        # component per sweep
-        assert len(calls) == 2 * (scattered.iterations + 1)
-        assert gathered.residual_history == scattered.residual_history
-        for a, b in zip(gathered.components, scattered.components):
-            assert np.array_equal(a, b)
+def test_kappa_overflow_raises_nonfinite():
+    problem, _ = two_component_problem()
+    for config in (
+        SolverConfig(rho=1.5, tol=1e-30),
+        SolverConfig(rho=1e200, tol=1e-30),
+        SolverConfig(rho=1e308, tol=1e-30),
+    ):
+        with pytest.raises(NonFinite, match="kappa overflows"):
+            decompose(problem, config)
+    # A run that stops before kappa would overflow returns normally.
+    assert decompose(problem, SolverConfig(rho=1e200)).converged
 
 
 def test_results_do_not_change_with_the_scale_of_the_observation():
@@ -195,8 +208,9 @@ def test_primal_residual_matches_history():
 
 
 def test_running_sum_stays_exact_over_long_runs():
-    # The running sum is updated in place every sweep and never rebuilt, so
-    # its rounding must not build up into the reported residual.
+    # The running vector r = x - sum_i R_i(A_i) + y/kappa is updated in place
+    # and never rebuilt from the components, so its rounding must not build
+    # up into the reported residual.
     problem, _ = two_component_problem()
     result = decompose(problem, SolverConfig(tol=1e-30))
     assert result.iterations == 2000

@@ -171,6 +171,9 @@ def test_read_key_rejects_garbage(tmp_path):
     path.write_text("rtd-stego v1\nseed 1\ncover 4 4\nsecret 4 4\nstrength nan\nmode float\n")
     with pytest.raises(StrengthOutOfRange):
         read_key(path)
+    path.write_bytes(b"rtd-stego v1\nseed \xfe\n")
+    with pytest.raises(KeyMismatch, match="not text"):
+        read_key(path)
 
 
 def test_custom_config_passes_through():
