@@ -36,7 +36,7 @@ from .formats import read_ops, read_tensor, write_tensor
 from .netpbm import GrayImage, RgbImage, read_image, write_image
 from .solver import Problem, SolverConfig, decompose, history_csv
 from .stego import MODES as STEGO_MODES
-from .stego import conceal, read_key, reveal, write_key
+from .stego import conceal, metrics_csv, read_key, reveal, write_key
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,18 +70,11 @@ def parse_values(text):
 
 
 def _solver_config(args):
-    return SolverConfig(
-        rho=args.rho,
-        kappa0=args.kappa0,
-        max_iter=args.max_iter,
-        tol=args.tol,
-    )
+    return SolverConfig(max_iter=args.max_iter, tol=args.tol)
 
 
 def _add_solver_flags(sub):
     defaults = SolverConfig()
-    sub.add_argument("--rho", type=float, default=defaults.rho)
-    sub.add_argument("--kappa0", type=float, default=defaults.kappa0)
     sub.add_argument("--max-iter", type=int, default=defaults.max_iter)
     sub.add_argument("--tol", type=float, default=defaults.tol)
 
@@ -222,14 +215,7 @@ def cmd_reveal(args):
     if args.out_cover:
         write_image(cover_est, args.out_cover, maxval=255)
         artifacts.append(args.out_cover)
-    lines = ["metric,value"]
-    for name, value in metrics.items():
-        if isinstance(value, bool):
-            value = int(value)
-        elif isinstance(value, float) or hasattr(value, "item"):
-            value = repr(float(value))
-        lines.append(f"{name},{value}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(metrics_csv(metrics))
     return artifacts
 
 

@@ -71,22 +71,21 @@ def _check_spec(spec, *lists):
 
 
 def _cell_trials(job):
-    trial, spec, config, index, cell = job
+    trial, spec, index, cell = job
     cell_seed = derive_seed(spec.seed, index)
-    return cell, [trial(spec, config, cell, derive_seed(cell_seed, t)) for t in range(spec.trials)]
+    return cell, [trial(spec, cell, derive_seed(cell_seed, t)) for t in range(spec.trials)]
 
 
 def _run_cells(spec, trial, cells, threads):
     """(cell, trial results) for every cell that is not None, in list order.
 
-    ``trial(spec, config, cell, seed)`` runs one seeded trial and must be a
+    ``trial(spec, cell, seed)`` runs one seeded trial and must be a
     module-level function so worker processes can load it.  Cell i is seeded
     by ``derive_seed(spec.seed, i)``, skipped cells included, and its trial t
     by ``derive_seed(cell_seed, t)``, so results are identical at any thread
     count.
     """
-    config = spec.config or SolverConfig()
-    jobs = [(trial, spec, config, i, cell) for i, cell in enumerate(cells) if cell is not None]
+    jobs = [(trial, spec, i, cell) for i, cell in enumerate(cells) if cell is not None]
     if threads <= 1:
         return [_cell_trials(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -108,7 +107,6 @@ class PhaseGridSpec:
     axis: tuple = tuple(range(20, 101, 10))
     trials: int = 3
     seed: int = 0
-    config: SolverConfig = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -153,9 +151,9 @@ def _bound_flags(spec, invalid):
     return flags
 
 
-def _phase_trial(spec, config, cell, seed):
+def _phase_trial(spec, cell, seed):
     comps, ops, X = make_instance(*spec.cell_params(*cell), seed)
-    return tsir(comps, decompose(Problem(X, ops), config).components)
+    return tsir(comps, decompose(Problem(X, ops)).components)
 
 
 def run_phase_grid(spec, threads=1):
@@ -213,7 +211,6 @@ class NoiseSweepSpec:
     snrs_db: tuple = (5, 10, 15, 20, 25, 30, 35)
     trials: int = 3
     seed: int = 0
-    config: SolverConfig = None
 
     def __post_init__(self):
         _check_spec(self, "ranks", "snrs_db")
@@ -226,21 +223,21 @@ class NoiseSweepSpec:
 NOISE_TOL_FACTOR = 0.1
 
 
-def _noisy_solve(X, ops, snr_db, config, seed):
+def _noisy_solve(X, ops, snr_db, seed):
     """Solve X plus Gaussian noise at snr_db, drawn from derive_seed(seed, 1),
     with the tolerance relaxed toward the noise floor.  A zero X has no
     energy to scale noise against and is solved as it is."""
     if not X.any():
-        return decompose(Problem(X, ops), config)
+        return decompose(Problem(X, ops))
     sigma = noise_sigma(X, snr_db)
     Xn = add_gaussian_noise(X, snr_db, derive_seed(seed, 1))
-    return decompose(Problem(Xn, ops), at_noise_floor(config, Xn, NOISE_TOL_FACTOR * sigma))
+    return decompose(Problem(Xn, ops), at_noise_floor(SolverConfig(), Xn, NOISE_TOL_FACTOR * sigma))
 
 
-def _noise_trial(spec, config, cell, seed):
+def _noise_trial(spec, cell, seed):
     r, snr_db = cell
     comps, ops, X = make_instance(spec.n, r, spec.N, derive_seed(seed, 0))
-    return tsir(comps, _noisy_solve(X, ops, snr_db, config, seed).components)
+    return tsir(comps, _noisy_solve(X, ops, snr_db, seed).components)
 
 
 def run_noise_sweep(spec, threads=1):
@@ -270,7 +267,6 @@ class DropoutSpec:
     trials: int = 10
     seed: int = 0
     eta: float = 0.1
-    config: SolverConfig = None
 
     def __post_init__(self):
         _check_spec(self, "ranks", "snrs_db")
@@ -278,7 +274,7 @@ class DropoutSpec:
             raise ValueError(f"eta must be positive, got {self.eta}")
 
 
-def _dropout_trial(spec, config, cell, seed):
+def _dropout_trial(spec, cell, seed):
     """(count estimate correct, tSIR), with tSIR None when every component
     was dropped."""
     snr_db, r = cell
@@ -289,7 +285,7 @@ def _dropout_trial(spec, config, cell, seed):
     X = np.zeros(ops[0].dst_shape)
     for op, A in zip(ops, comps):
         X += op.apply(A)
-    result = _noisy_solve(X, ops, snr_db, config, seed)
+    result = _noisy_solve(X, ops, snr_db, seed)
     kept = spec.N - int(removed.sum())
     hit = estimate_component_count(result.components, spec.eta) == kept
     return hit, tsir(comps, result.components) if kept else None

@@ -144,6 +144,19 @@ def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
     return secret_est, cover_est, metrics
 
 
+def metrics_csv(metrics):
+    """reveal's metrics as "metric,value" lines: booleans as 0/1, floats as
+    their repr."""
+    lines = ["metric,value"]
+    for name, value in metrics.items():
+        if isinstance(value, bool):
+            value = int(value)
+        elif isinstance(value, float) or hasattr(value, "item"):
+            value = repr(float(value))
+        lines.append(f"{name},{value}")
+    return "\n".join(lines) + "\n"
+
+
 def write_key(key, path):
     lines = [
         FORMAT_VERSION,

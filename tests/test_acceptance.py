@@ -35,7 +35,7 @@ from rtd.netpbm import GrayImage, RgbImage
 from rtd.reshuffle import reshuffle_from_seed
 from rtd.rng import derive_seed
 from rtd.solver import Problem, decompose
-from rtd.stego import StegoKey, conceal, reveal
+from rtd.stego import StegoKey, conceal, metrics_csv, reveal
 
 from conftest import low_rank_image
 
@@ -348,17 +348,6 @@ def test_criterion_7_certificate_machinery():
     assert close_ok
 
 
-def _metrics_csv(metrics):
-    lines = ["metric,value"]
-    for name, value in metrics.items():
-        if isinstance(value, bool):
-            value = int(value)
-        elif isinstance(value, float) or hasattr(value, "item"):
-            value = repr(float(value))
-        lines.append(f"{name},{value}")
-    return ("\n".join(lines) + "\n").encode()
-
-
 def _stego_images():
     cover = GrayImage(low_rank_image(256, 256, 5, 101))
     channels = np.stack(
@@ -371,7 +360,7 @@ def _stego_pipeline():
     cover, secret = _stego_images()
     container, key = conceal(cover, secret, strength=0.05, master_seed=42, mode="float")
     _, _, metrics = reveal(container, key, ref_secret=secret, ref_cover=cover)
-    return (container, key, metrics), _metrics_csv(metrics)
+    return (container, key, metrics), metrics_csv(metrics).encode()
 
 
 def test_criterion_8_stego_roundtrip():

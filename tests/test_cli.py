@@ -7,6 +7,7 @@ import pytest
 
 import rtd.cli as cli
 import rtd.reshuffle as reshuffle
+import rtd.solver as solver
 import rtd.stego as stego
 from rtd.analysis import incoherence_lower_bound
 from rtd.cli import main, parse_values
@@ -153,7 +154,17 @@ def test_schedule_flag_is_gone(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flag", ["--rho", "--kappa0", "--tol"])
+def test_rho_and_kappa0_flags_are_gone(tmp_path):
+    tensor, ops, _ = _write_instance(tmp_path)
+    for flag in ("--rho", "--kappa0"):
+        assert main([
+            "decompose", "--tensor", str(tensor), "--ops", str(ops),
+            "--out-dir", str(tmp_path / "o"), flag, "1.5",
+        ]) == 1
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--tol"])
 def test_decompose_refuses_an_infinite_solver_parameter(flag, tmp_path, capsys):
     tensor, ops, _ = _write_instance(tmp_path)
     assert main([
@@ -164,16 +175,18 @@ def test_decompose_refuses_an_infinite_solver_parameter(flag, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_decompose_exits_2_when_kappa_overflows(tmp_path, capsys):
+def test_decompose_exits_2_when_kappa_overflows(tmp_path, capsys, monkeypatch):
     tensor, ops, _ = _write_instance(tmp_path)
-    assert main([
-        "decompose", "--tensor", str(tensor), "--ops", str(ops),
-        "--out-dir", str(tmp_path / "o"), "--rho", "1e200", "--tol", "1e-30",
-    ]) == 2
-    err = capsys.readouterr().err
-    assert "rtd: kappa overflows float64" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "o").exists()
+    for rho in (1.5, 1e200, 1e308):
+        monkeypatch.setattr(solver, "RHO", rho)
+        assert main([
+            "decompose", "--tensor", str(tensor), "--ops", str(ops),
+            "--out-dir", str(tmp_path / "o"), "--tol", "1e-30",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "rtd: kappa overflows float64" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_solver_flag_defaults_are_the_config_defaults():

@@ -18,10 +18,6 @@ from rtd.experiments import (
     run_phase_grid,
 )
 from rtd.linalg import numerical_rank, svd_full
-from rtd.solver import SolverConfig
-
-
-FAST = SolverConfig(rho=1.05, tol=1e-7)
 
 
 def test_make_instance_invariants():
@@ -97,7 +93,7 @@ def test_phase_spec_validation_and_sorting():
 
 def test_phase_grid_tiny():
     spec = PhaseGridSpec(
-        "rank_vs_size", 2, ranks=(1, 6), axis=(5, 20), trials=1, seed=3, config=FAST
+        "rank_vs_size", 2, ranks=(1, 6), axis=(5, 20), trials=1, seed=3
     )
     grid = run_phase_grid(spec)
     assert grid.cells.shape == (2, 2)
@@ -114,7 +110,7 @@ def test_phase_grid_tiny():
 
 def test_phase_grid_deterministic():
     spec = PhaseGridSpec(
-        "rank_vs_size", 2, ranks=(1,), axis=(18, 20), trials=2, seed=5, config=FAST
+        "rank_vs_size", 2, ranks=(1,), axis=(18, 20), trials=2, seed=5
     )
     a = run_phase_grid(spec)
     b = run_phase_grid(spec)
@@ -124,7 +120,7 @@ def test_phase_grid_deterministic():
 
 def test_phase_csv_format():
     spec = PhaseGridSpec(
-        "rank_vs_size", 2, ranks=(1, 6), axis=(5, 20), trials=1, seed=3, config=FAST
+        "rank_vs_size", 2, ranks=(1, 6), axis=(5, 20), trials=1, seed=3
     )
     grid = run_phase_grid(spec)
     lines = phase_csv(grid).splitlines()
@@ -159,7 +155,7 @@ def test_render_heatmap_levels():
 
 
 def test_noise_sweep_tiny_and_csv():
-    spec = NoiseSweepSpec(n=20, N=2, ranks=(1,), snrs_db=(30.0,), trials=2, seed=1, config=FAST)
+    spec = NoiseSweepSpec(n=20, N=2, ranks=(1,), snrs_db=(30.0,), trials=2, seed=1)
     rows = run_noise_sweep(spec)
     assert len(rows) == 1
     r, snr_db, mean = rows[0]
@@ -183,7 +179,7 @@ def test_noise_spec_validation():
 
 
 def test_dropout_tiny_and_csv():
-    spec = DropoutSpec(n=20, N=3, ranks=(1,), snrs_db=(30.0,), trials=4, seed=2, config=FAST)
+    spec = DropoutSpec(n=20, N=3, ranks=(1,), snrs_db=(30.0,), trials=4, seed=2)
     rows = run_dropout_experiment(spec)
     assert len(rows) == 1
     snr_db, r, acc, mean = rows[0]
@@ -198,12 +194,12 @@ def test_dropout_tiny_and_csv():
 
 def test_process_pool_matches_serial():
     phase = PhaseGridSpec(
-        "rank_vs_size", 2, ranks=(1, 6), axis=(5, 18, 20), trials=2, seed=3, config=FAST
+        "rank_vs_size", 2, ranks=(1, 6), axis=(5, 18, 20), trials=2, seed=3
     )
     serial, pooled = run_phase_grid(phase, threads=1), run_phase_grid(phase, threads=2)
     assert phase_csv(pooled) == phase_csv(serial)
     assert np.array_equal(pooled.invalid, serial.invalid)
-    noise = NoiseSweepSpec(n=20, N=2, ranks=(1, 2), snrs_db=(20, 30), trials=2, seed=1, config=FAST)
+    noise = NoiseSweepSpec(n=20, N=2, ranks=(1, 2), snrs_db=(20, 30), trials=2, seed=1)
     assert run_noise_sweep(noise, threads=2) == run_noise_sweep(noise, threads=1)
     # At seed 2 two of these 24 trials drop every component.
     dropout = DropoutSpec(n=20, N=3, ranks=(1, 2), snrs_db=(30.0, 25), trials=6, seed=2)

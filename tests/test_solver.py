@@ -71,9 +71,11 @@ def test_result_histories_align():
 
 def test_geometric_kappa_schedule_exact():
     problem, _ = two_component_problem()
-    config = SolverConfig(kappa0=2.0, rho=1.5, max_iter=5, tol=1e-30)
-    result = decompose(problem, config)
-    assert result.kappa_history == [2.0 * 1.5**k for k in range(5)]
+    result = decompose(problem, SolverConfig(max_iter=5, tol=1e-30))
+    want = [default_kappa0(problem)]
+    for _ in range(4):
+        want.append(want[-1] * solver_mod.RHO)
+    assert result.kappa_history == want
 
 
 def test_default_kappa0_value():
@@ -106,11 +108,12 @@ def test_divergence_detected(monkeypatch):
         decompose(problem, SolverConfig(max_iter=2000, tol=1e-12))
 
 
-def _reference_decompose(problem, kappa0, rho, iterations):
+def _reference_decompose(problem, iterations):
     """The update of decompose's docstring, transcribed without its running
-    vector: a fresh sum of the other components per update, a full-SVD
-    threshold and kappa = kappa0 * rho**(k - 1)."""
+    vector or its power-of-two scaling: a fresh sum of the other components
+    per update, a full-SVD threshold and kappa = kappa0 * RHO**(k - 1)."""
     x, ops = problem.X.ravel(), problem.ops
+    kappa0, rho = default_kappa0(problem), solver_mod.RHO
     y = np.sign(x)
     comps = [op.adjoint(problem.X) / len(ops) for op in ops]
     residuals = []
@@ -134,23 +137,26 @@ def test_running_vector_matches_the_plain_update(n):
     config = SolverConfig(max_iter=200, tol=1e-30)
     result = decompose(problem, config)
     assert result.iterations == 200
-    comps, residuals = _reference_decompose(problem, default_kappa0(problem), config.rho, 200)
+    comps, residuals = _reference_decompose(problem, 200)
     for got, want in zip(result.components, comps):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.allclose(result.residual_history, residuals, rtol=0.0, atol=1e-13)
 
 
-def test_kappa_overflow_raises_nonfinite():
+def test_kappa_overflow_raises_nonfinite(monkeypatch):
     problem, _ = two_component_problem()
-    for config in (
-        SolverConfig(rho=1.5, tol=1e-30),
-        SolverConfig(rho=1e200, tol=1e-30),
-        SolverConfig(rho=1e308, tol=1e-30),
-    ):
+    # kappa is about 1 / ||X||, so a tiny X overflows it in the units of X
+    # long before the solve's own scaled kappa would.
+    tiny = Problem(2.0**-1000 * problem.X, problem.ops)
+    with pytest.raises(NonFinite, match="kappa overflows"):
+        decompose(tiny, SolverConfig(tol=1e-30))
+    for rho in (1.5, 1e200, 1e308):
+        monkeypatch.setattr(solver_mod, "RHO", rho)
         with pytest.raises(NonFinite, match="kappa overflows"):
-            decompose(problem, config)
+            decompose(problem, SolverConfig(tol=1e-30))
     # A run that stops before kappa would overflow returns normally.
-    assert decompose(problem, SolverConfig(rho=1e200)).converged
+    monkeypatch.setattr(solver_mod, "RHO", 1e200)
+    assert decompose(problem).converged
 
 
 def test_results_do_not_change_with_the_scale_of_the_observation():
@@ -164,6 +170,16 @@ def test_results_do_not_change_with_the_scale_of_the_observation():
         assert primal_residual(Problem(c * X, ops), result.components) == pytest.approx(
             result.residual_history[-1], rel=1e-6
         )
+    # Far out, where squaring the entries under- or overflows.
+    for c in (1e-160, 1e155):
+        result = decompose(Problem(c * X, ops))
+        assert abs(tsir(truth, [a / c for a in result.components]) - base_db) <= 0.01, c
+    # A power of two is an exact scale, and the solve runs at one scale.
+    for c in (2.0**-600, 2.0**500):
+        result = decompose(Problem(c * X, ops))
+        for got, want in zip(result.components, base.components):
+            assert np.array_equal(got, c * want), c
+        assert result.residual_history == base.residual_history, c
 
 
 def test_nonfinite_observation_rejected():
@@ -177,12 +193,6 @@ def test_nonfinite_observation_rejected():
 
 def test_config_validation():
     for kwargs in (
-        {"rho": 1.0},
-        {"rho": np.inf},
-        {"rho": np.nan},
-        {"kappa0": 0.0},
-        {"kappa0": np.inf},
-        {"kappa0": np.nan},
         {"max_iter": 0},
         {"tol": 0.0},
         {"tol": np.inf},

@@ -82,9 +82,10 @@ def test_reveal_roundtrip_small():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_default_schedule_keeps_the_secret(seed):
-    # The penalty growth rho sits at the edge of what the reveal tolerates:
-    # on these seeds rho = 1.03 still stops on tol, but at 91-96 dB after
-    # 470-500 iterations, against about 113 dB in about 220 at the default.
+    # The solver's penalty growth RHO sits at the edge of what the reveal
+    # tolerates: on these seeds a growth of 1.03 still stops on tol, but at
+    # 91-96 dB after 470-500 iterations, against about 113 dB in about 220
+    # at RHO = 1.02.
     cover, secret = small_pair(64, 64, seed, cover_rank=5, channel_rank=2)
     container, key = conceal(cover, secret, strength=0.05, master_seed=seed)
     _, _, metrics = reveal(container, key, ref_secret=secret)
@@ -202,6 +203,19 @@ def test_reveal_config_floor_follows_maxval():
     assert _reveal_config(q8, config).tol == old_q8
     # a floor below the requested tolerance leaves the tolerance alone
     assert _reveal_config(q8, SolverConfig(tol=1.0)).tol == 1.0
+
+
+def test_black_q8_container_reveals_a_black_secret():
+    # A floor that dwarfs an all-zero container raises tol far above 1,
+    # and the first sweep, which fits zero exactly, stops on it.
+    cover = GrayImage(np.zeros((16, 16)))
+    secret = RgbImage(np.zeros((16, 16, 3)))
+    container, key = conceal(cover, secret, strength=0.05, master_seed=4, mode="q8")
+    est, _, metrics = reveal(container, key)
+    assert metrics["tol"] > 1.0
+    assert metrics["stop_reason"] == "tol"
+    assert metrics["iterations"] == 1
+    assert not est.pixels.any()
 
 
 def test_reveal_rejects_other_maxvals_before_solving(monkeypatch):
