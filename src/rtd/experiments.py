@@ -4,6 +4,7 @@ heatmap output.
 """
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .analysis import estimate_component_count, recovery_bound_min_n, tsir
 from .errors import AllZeroSignal
-from .linalg import random_semi_orthonormal_pair
+from .linalg import binary_scaled, random_semi_orthonormal_pair
 from .reshuffle import reshuffle_from_seed
 from .rng import bulk_u64, derive_seed, gaussians
 from .solver import Problem, SolverConfig, at_noise_floor, decompose
@@ -46,10 +47,11 @@ def noise_sigma(X, snr_db):
     snr_db = float(snr_db)
     if not np.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
-    energy = float(np.linalg.norm(X) ** 2)
-    if energy == 0.0:
+    scaled, e = binary_scaled(np.asarray(X, dtype=np.float64))
+    norm = float(np.linalg.norm(scaled))
+    if norm == 0.0:
         raise AllZeroSignal("cannot scale noise against a zero tensor")
-    return float(np.sqrt(energy / (X.size * 10.0 ** (snr_db / 10.0))))
+    return math.ldexp(norm / math.sqrt(scaled.size * 10.0 ** (snr_db / 10.0)), e)
 
 
 def add_gaussian_noise(X, snr_db, seed):

@@ -7,6 +7,7 @@ run a warm-started partial SVD (``WarmStart``), since its iterates are low
 rank and everything below the threshold is discarded anyway.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,17 @@ def _as_finite_matrix(M):
     if not np.isfinite(M).all():
         raise NonFinite("matrix contains NaN or Inf")
     return M
+
+
+def binary_scaled(X):
+    """(X * 2**-e, e), with e the binary exponent of max|X| (0 for a zero X).
+
+    A power-of-two scale rounds no entry that stays in float64's normal
+    range, so the norm of the scaled copy neither over- nor underflows in
+    its squares, and times 2**e it is the norm of X.
+    """
+    e = math.frexp(float(np.abs(X).max(initial=0.0)))[1]
+    return np.ldexp(X, -e), e
 
 
 def svd_full(M):

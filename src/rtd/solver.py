@@ -3,14 +3,16 @@
 Recovers matrices A_1..A_N from an observation X = sum_i R_i(A_i) by
 minimizing the sum of nuclear norms subject to that equality constraint.
 Each sweep updates the components sequentially (Gauss-Seidel) through a
-singular-value soft-threshold, then performs dual ascent on the multiplier
-tensor and grows the penalty weight kappa by the factor RHO.  The penalty
-schedule belongs to the solver: kappa starts at default_kappa0 and grows by
-RHO, and only the stopping parameters are configurable.  The sweep carries
-one running vector, the scaled residual X - sum_i R_i(A_i) + Y/kappa, and a
-kappa that overflows float64 raises NonFinite.  Each component's threshold
-is a partial SVD warm-started from the right singular subspace it kept in
-the previous sweep (``rtd.linalg.WarmStart``).
+singular-value soft-threshold, then takes an over-relaxed dual step
+Y += GAMMA * kappa * (X - sum_i R_i(A_i)) on the multiplier tensor and grows
+the penalty weight kappa by the factor RHO.  The penalty schedule belongs to
+the solver: kappa starts at default_kappa0 and grows by RHO, the dual step
+is GAMMA times kappa, and only the stopping parameters are configurable.
+The sweep carries one running vector, the scaled residual
+X - sum_i R_i(A_i) + Y/kappa, and a kappa that overflows float64 raises
+NonFinite.  Each component's threshold is a partial SVD warm-started from
+the right singular subspace it kept in the previous sweep
+(``rtd.linalg.WarmStart``).
 """
 
 import dataclasses
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceDetected, NonFinite, ShapeMismatch
-from .linalg import WarmStart, nuclear_norm, spectral_norm, svt_with_values
+from .linalg import WarmStart, binary_scaled, nuclear_norm, spectral_norm, svt_with_values
 
 # Residual blowing up past this multiple of its starting value aborts the run.
 DIVERGENCE_FACTOR = 1e6
@@ -29,8 +31,18 @@ DIVERGENCE_FACTOR = 1e6
 # Penalty growth per iteration, chosen by measurement: it solves the stego
 # reveal and the phase grid in about 40% fewer sweeps than 1.01 at equal
 # tSIR, while 1.025 and above lose secret tSIR on the reveal (the threshold
-# 1/kappa falls before the weak channels separate from the cover).
+# 1/kappa falls before the weak channels separate from the cover), at
+# GAMMA = 1 and 1.4 alike.
 RHO = 1.02
+
+# Dual step in units of kappa, chosen by measurement.  Two-block ADMM
+# converges for any GAMMA in (0, (1 + sqrt 5) / 2), but this N-block
+# Gauss-Seidel sweep has no such guarantee.  Of 1.1-1.5, 1.4 takes the
+# fewest sweeps: about a quarter fewer than 1 on the phase grid and 9% fewer
+# on the reveals, with the same phase-grid successes and the reveal's secret
+# tSIR within about 1 dB of 1 either way; 1.5 takes more again on the phase
+# grid.
+GAMMA = 1.4
 
 
 @dataclass
@@ -61,8 +73,12 @@ def at_noise_floor(config, X, sigma):
     the noise left to fit (the discrepancy principle); a floor below
     config.tol leaves config.tol in effect.
     """
-    floor = sigma * np.sqrt(X.size) / max(np.linalg.norm(X), 1e-300)
-    return dataclasses.replace(config, tol=max(config.tol, float(floor)))
+    # Relative to X * 2**-e, so the floor does not change with the scale of X,
+    # and capped at float64's largest value in the units of X.
+    X, e = binary_scaled(X)
+    floor = sigma * math.sqrt(X.size) / max(float(np.linalg.norm(X)), 1e-300)
+    cap = math.ldexp(sys.float_info.max, min(e, 0))
+    return dataclasses.replace(config, tol=max(config.tol, math.ldexp(min(floor, cap), -e)))
 
 
 @dataclass
@@ -85,6 +101,10 @@ class Problem:
 
 @dataclass
 class SolverResult:
+    """What decompose returns.  The histories are in the units of X, one
+    entry per sweep; an entry too large for float64 in those units (an
+    objective near float64's largest value) is inf."""
+
     components: list
     iterations: int
     converged: bool
@@ -123,7 +143,8 @@ def decompose(problem, config=None):
 
         A_i <- svt( adjoint_i( X - sum_{j != i} R_j(A_j) + Y/kappa ), 1/kappa )
 
-    then Y += kappa * (X - sum_i R_i(A_i)) and kappa grows by the factor RHO.
+    then Y += GAMMA * kappa * (X - sum_i R_i(A_i)) and kappa grows by the
+    factor RHO.
     The sweep carries one running vector r = X - sum_i R_i(A_i) + Y/kappa
     (the scaled dual form of ADMM), so a component's pullback is
     adjoint_i(r) + A_i and its update subtracts R_i(new A_i - old A_i);
@@ -143,8 +164,7 @@ def decompose(problem, config=None):
     if not np.isfinite(X).all():
         raise NonFinite("observation contains NaN or Inf")
 
-    e = math.frexp(float(np.abs(X).max()))[1]
-    X = np.ldexp(X, -e)
+    X, e = binary_scaled(X)
     norm_x = float(np.linalg.norm(X))
     if math.frexp(norm_x)[1] + e > sys.float_info.max_exp:
         raise NonFinite("observation norm overflows float64")
@@ -181,7 +201,7 @@ def decompose(problem, config=None):
             r -= d[op.inv_perm]
             comps[i] = a_new
         diff = r - y / kappa
-        y += kappa * diff
+        y += GAMMA * kappa * diff
         residual = float(np.linalg.norm(diff)) / scale
 
         residuals.append(residual)
@@ -204,14 +224,19 @@ def decompose(problem, config=None):
                 raise NonFinite(f"kappa overflows float64 before iteration {k + 1}")
             r = diff + y / kappa
 
+    # A history entry too large for float64 in the units of X becomes inf.
+    with np.errstate(over="ignore"):
+        objectives = np.ldexp(objectives, e).tolist()
+        kappas = np.ldexp(kappas, -e).tolist()
+        duals = np.ldexp(duals, -e).tolist()
     return SolverResult(
         components=[np.ldexp(a, e) for a in comps],
         iterations=len(residuals),
         converged=converged,
         residual_history=residuals,
-        objective_history=np.ldexp(objectives, e).tolist(),
-        kappa_history=np.ldexp(kappas, -e).tolist(),
-        dual_history=np.ldexp(duals, -e).tolist(),
+        objective_history=objectives,
+        kappa_history=kappas,
+        dual_history=duals,
     )
 
 

@@ -67,6 +67,17 @@ def test_noise_is_deterministic():
     assert not np.array_equal(a, c)
 
 
+def test_noise_sigma_scales_with_the_observation():
+    # pytest turns warnings into errors here, so an under- or overflow in
+    # the energy fails.
+    _, _, X = make_instance(40, 2, 2, seed=3)
+    base = noise_sigma(X, 20.0)
+    for c in (2.0**-600, 2.0**500):
+        assert noise_sigma(c * X, 20.0) == c * base, c
+    for c in (1e-160, 1e160):
+        assert noise_sigma(c * X, 20.0) == pytest.approx(c * base, rel=1e-12), c
+
+
 def test_noise_sigma_errors():
     with pytest.raises(AllZeroSignal):
         noise_sigma(np.zeros(4), 20.0)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from rtd.reshuffle import reshuffle_from_seed, reshuffle_identity
 from rtd.solver import (
     Problem,
     SolverConfig,
+    at_noise_floor,
     decompose,
     default_kappa0,
     history_csv,
@@ -111,9 +114,10 @@ def test_divergence_detected(monkeypatch):
 def _reference_decompose(problem, iterations):
     """The update of decompose's docstring, transcribed without its running
     vector or its power-of-two scaling: a fresh sum of the other components
-    per update, a full-SVD threshold and kappa = kappa0 * RHO**(k - 1)."""
+    per update, a full-SVD threshold, kappa = kappa0 * RHO**(k - 1) and the
+    dual step GAMMA * kappa."""
     x, ops = problem.X.ravel(), problem.ops
-    kappa0, rho = default_kappa0(problem), solver_mod.RHO
+    kappa0, rho, gamma = default_kappa0(problem), solver_mod.RHO, solver_mod.GAMMA
     y = np.sign(x)
     comps = [op.adjoint(problem.X) / len(ops) for op in ops]
     residuals = []
@@ -124,7 +128,7 @@ def _reference_decompose(problem, iterations):
             U, sv, Vt = np.linalg.svd(op.adjoint(x - others + y / kappa), full_matrices=False)
             comps[i] = (U * np.maximum(sv - 1.0 / kappa, 0.0)) @ Vt
         diff = x - sum(op.apply(a).ravel() for op, a in zip(ops, comps))
-        y = y + kappa * diff
+        y = y + gamma * kappa * diff
         residuals.append(np.linalg.norm(diff) / np.linalg.norm(x))
     return comps, residuals
 
@@ -180,6 +184,30 @@ def test_results_do_not_change_with_the_scale_of_the_observation():
         for got, want in zip(result.components, base.components):
             assert np.array_equal(got, c * want), c
         assert result.residual_history == base.residual_history, c
+
+
+def test_history_past_float64_is_inf_without_warning():
+    # pytest turns warnings into errors here, so an overflow warning fails.
+    X = np.full((2, 2), 8e307)
+    result = decompose(Problem(X, [reshuffle_identity(2, 2, (2, 2))]))
+    assert result.converged
+    # Exact to the solve's tolerance, as in acceptance criterion 3.
+    assert np.abs(result.components[0] - X).max() <= 1e-6 * 8e307
+    # The first sweep's nuclear norm is about 2.9e308 in the units of X.
+    assert result.objective_history[0] == np.inf
+
+
+def test_noise_floor_does_not_change_with_the_scale_of_the_observation():
+    _, _, X = make_instance(40, 2, 2, seed=3)
+    sigma = 0.01
+    base = at_noise_floor(SolverConfig(), X, sigma).tol
+    assert base > SolverConfig().tol
+    for c in (2.0**-600, 2.0**500):
+        assert at_noise_floor(SolverConfig(), c * X, c * sigma).tol == base, c
+    for c in (1e-160, 1e160):
+        assert at_noise_floor(SolverConfig(), c * X, c * sigma).tol == pytest.approx(base, rel=1e-12), c
+    # A floor past float64 in the units of X is capped at its largest value.
+    assert at_noise_floor(SolverConfig(), np.full(16, 1e-310), 1.0).tol == sys.float_info.max
 
 
 def test_nonfinite_observation_rejected():

@@ -82,10 +82,10 @@ def test_reveal_roundtrip_small():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_default_schedule_keeps_the_secret(seed):
-    # The solver's penalty growth RHO sits at the edge of what the reveal
-    # tolerates: on these seeds a growth of 1.03 still stops on tol, but at
-    # 91-96 dB after 470-500 iterations, against about 113 dB in about 220
-    # at RHO = 1.02.
+    # The solver's penalty growth RHO = 1.02 and dual step GAMMA = 1.4 keep
+    # the secret at about 112 dB in 196-206 iterations on these seeds.  A
+    # growth of 1.03 still stops on tol, but at 102-106 dB after about 155
+    # iterations at GAMMA = 1.4, and at 91-96 dB after 470-500 at GAMMA = 1.
     cover, secret = small_pair(64, 64, seed, cover_rank=5, channel_rank=2)
     container, key = conceal(cover, secret, strength=0.05, master_seed=seed)
     _, _, metrics = reveal(container, key, ref_secret=secret)
