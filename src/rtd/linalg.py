@@ -92,22 +92,27 @@ def _orth(A):
 def _partial_svd(M, alpha, V):
     """Leading singular triplets of M from a warm start basis V (n x w).
 
-    Block subspace iteration on the start block alone, with a Rayleigh-Ritz
-    step (Halko, Martinsson and Tropp 2011, arXiv:0909.4061).  Returns
-    None, so the caller runs the full SVD, when the block is wider than
-    min(m, n) / 4, where a full SVD is cheaper, or when fewer than
+    Block subspace iteration on the start block alone (Halko, Martinsson
+    and Tropp 2011, arXiv:0909.4061, Algorithm 4.4), orthonormalised once
+    per power step Q <- orth(M^T M Q) rather than after each product, as in
+    Li, Linderman, Szlam, Stanton, Kluger and Tygert (2017, ACM TOMS
+    Algorithm 971): POWER_STEPS QRs per call.  The Rayleigh-Ritz step is on
+    the right subspace, the thin SVD of M Q = U S W^T giving M ~ U S (Q W)^T.
+    Forming M^T M squares the spectrum within a step, so block singular
+    values below about sqrt(eps) * s_max (1.5e-8 relative) lose accuracy.
+    Returns None, so the caller runs the full SVD, when the block is wider
+    than min(m, n) // 2, where a full SVD is cheaper, or when fewer than
     TAIL_BELOW Ritz values fall below alpha.
     """
-    if V.shape[1] > min(M.shape) // 4:
+    if V.shape[1] > min(M.shape) // 2:
         return None
     Q = V
     for _ in range(POWER_STEPS):
-        Q = _orth(M.T @ _orth(M @ Q))
-    Q = _orth(M @ Q)
-    Ub, S, Vt = np.linalg.svd(Q.T @ M, full_matrices=False)
+        Q = _orth(M.T @ (M @ Q))
+    U, S, Wt = np.linalg.svd(M @ Q, full_matrices=False)
     if S.size < TAIL_BELOW or S[-TAIL_BELOW] >= alpha:
         return None
-    return Q @ Ub, S, Vt
+    return U, S, Wt @ Q.T
 
 
 def svt_with_values(M, alpha, warm=None):

@@ -5,6 +5,7 @@ import rtd.linalg as linalg_mod
 from rtd.errors import BadRank, NonFinite
 from rtd.linalg import (
     OVERSAMPLE,
+    POWER_STEPS,
     RANK_CUTOFF,
     WarmStart,
     nuclear_norm,
@@ -166,6 +167,20 @@ def partial_calls(monkeypatch):
 
 
 @pytest.fixture
+def qr_calls(monkeypatch):
+    """Shapes of the blocks orthonormalised while thresholding."""
+    calls = []
+    real = linalg_mod._orth
+
+    def spy(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(linalg_mod, "_orth", spy)
+    return calls
+
+
+@pytest.fixture
 def gaussian_draws(monkeypatch):
     """Count of Gaussian blocks drawn while thresholding."""
     draws = []
@@ -179,17 +194,20 @@ def gaussian_draws(monkeypatch):
     return draws
 
 
-def test_warm_partial_svt_matches_full(partial_calls):
+def test_warm_partial_svt_matches_full(partial_calls, qr_calls):
     for m, n, seed in ((80, 60, 1), (60, 80, 2), (100, 100, 3)):
         M = gapped_matrix(m, n, [9.0, 7.0, 5.0, 4.0, 3.0], seed)
         nearby = M + 0.01 * gaussians(m * n, derive_seed(seed, 7)).reshape(m, n)
         warm = WarmStart()
         partial_calls.clear()
+        qr_calls.clear()
         svt_with_values(nearby, 1.0, warm)  # first call: full SVD
-        assert partial_calls == []
+        assert partial_calls == [] and qr_calls == []
         assert warm.basis.shape == (n, 5 + OVERSAMPLE)
         out, values = svt_with_values(M, 1.0, warm)
         assert partial_calls[-1] is not None
+        # One QR per power step, none for the Rayleigh-Ritz step.
+        assert qr_calls == [(n, 5 + OVERSAMPLE)] * POWER_STEPS
         expect, expect_values = svt_with_values(M, 1.0)
         assert values.shape == (min(m, n),)
         assert np.abs(out - expect).max() <= 1e-8
@@ -211,18 +229,36 @@ def test_partial_svt_missed_block_runs_the_full_svd(partial_calls, gaussian_draw
     assert warm.basis.shape == (120, 10 + OVERSAMPLE)
 
 
-def test_partial_svt_falls_back_above_quarter_size(partial_calls, gaussian_draws):
+def test_partial_svt_falls_back_above_half_size(partial_calls, qr_calls, gaussian_draws):
     M = random_matrix(40, 40, 6)
     expect = svt(M, 1e-3)
-    # A start block wider than min(m, n) / 4 goes straight to the full SVD.
+    # A start block wider than min(m, n) // 2 goes straight to the full SVD.
     warm = WarmStart()
-    warm.basis = orthonormal(40, 11, 7)
+    warm.basis = orthonormal(40, 21, 7)
     assert np.array_equal(svt_with_values(M, 1e-3, warm)[0], expect)
-    assert partial_calls == [None] and gaussian_draws == []
-    # A full-rank matrix misses with any block, and the full SVD runs once.
-    warm.basis = orthonormal(40, 4, 7)
+    assert partial_calls == [None] and qr_calls == [] and gaussian_draws == []
+    # A block of half the size runs the subspace iteration.  A full-rank
+    # matrix misses with any block, and the full SVD runs once.
+    warm.basis = orthonormal(40, 20, 7)
     assert np.array_equal(svt_with_values(M, 1e-3, warm)[0], expect)
     assert partial_calls == [None, None] and gaussian_draws == []
+    assert qr_calls == [(40, 20)] * POWER_STEPS
+
+
+def test_warm_partial_svt_keeps_a_wide_dynamic_range(partial_calls):
+    # Kept singular values down to 1e-4 relative, far above the sqrt(eps)
+    # limit of squaring the spectrum within a power step.
+    top = [1.0, 1e-1, 1e-2, 1e-3, 1e-4]
+    for m, n, seed in ((100, 100, 1), (80, 60, 2), (60, 80, 3)):
+        M = gapped_matrix(m, n, top, seed, tail=1e-6)
+        nearby = M + 1e-7 * gaussians(m * n, derive_seed(seed, 7)).reshape(m, n)
+        warm = WarmStart()
+        svt_with_values(nearby, 5e-5, warm)
+        out, values = svt_with_values(M, 5e-5, warm)
+        assert partial_calls[-1] is not None
+        expect, expect_values = svt_with_values(M, 5e-5)
+        assert np.linalg.norm(out - expect) <= 1e-12 * np.linalg.norm(expect)
+        assert np.abs(values - expect_values).max() <= 1e-12 * expect_values[0]
 
 
 def test_partial_svt_large_alpha_gives_zero(partial_calls):

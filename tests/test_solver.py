@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+import rtd.linalg as linalg_mod
 import rtd.solver as solver_mod
 from rtd.analysis import tsir
 from rtd.errors import DivergenceDetected, NonFinite, ShapeMismatch
@@ -134,9 +135,9 @@ def _reference_decompose(problem, iterations):
 
 
 @pytest.mark.parametrize("n", [12, 16])
-def test_running_vector_matches_the_plain_update(n):
-    # At these sizes every warm block is wider than min(m, n) // 4, so each
-    # threshold is a full SVD, as in the reference.
+def test_running_vector_matches_the_plain_update(n, monkeypatch):
+    # Every threshold is a full SVD, as in the reference.
+    monkeypatch.setattr(linalg_mod, "_partial_svd", lambda M, alpha, V: None)
     problem, _ = two_component_problem(n=n)
     config = SolverConfig(max_iter=200, tol=1e-30)
     result = decompose(problem, config)
