@@ -69,16 +69,6 @@ def parse_values(text):
     return tuple(int(v) for v in text.split(","))
 
 
-def _solver_config(args):
-    return SolverConfig(max_iter=args.max_iter, tol=args.tol)
-
-
-def _add_solver_flags(sub):
-    defaults = SolverConfig()
-    sub.add_argument("--max-iter", type=int, default=defaults.max_iter)
-    sub.add_argument("--tol", type=float, default=defaults.tol)
-
-
 def _warn_unconverged(converged, iterations, residual):
     """A run that hit max_iter still writes its outputs and exits 0."""
     if not converged:
@@ -89,17 +79,41 @@ def _warn_unconverged(converged, iterations, residual):
         )
 
 
-def _values_text(values):
-    return ",".join(str(v) for v in values)
+# Flags named other than the library parameter they set.
+_RENAMES = {"snrs_db": "snrs", "master_seed": "seed"}
 
 
-def _add_experiment_flags(sub, defaults):
-    """Flags every experiment takes, defaulting to the spec's own fields."""
-    sub.add_argument("--seed", type=int, default=defaults.seed)
-    sub.add_argument("--ranks", default=_values_text(defaults.ranks))
-    sub.add_argument("--trials", type=int, default=defaults.trials)
-    sub.add_argument("--threads", type=int, default=os.cpu_count())
-    sub.add_argument("--out-csv", required=True)
+def _defaults(source):
+    """{name: default} of a dataclass's fields or a function's keyword parameters."""
+    return {
+        name: p.default
+        for name, p in inspect.signature(source).parameters.items()
+        if p.default is not p.empty
+    }
+
+
+def _add_defaults(sub, source, **choices):
+    """One flag per parameter of source, defaulting to the library's value.
+
+    A tuple default is given as parse_values text, parsed by _flag_values so
+    that a bad list is a data error (exit 2), not a usage error.
+    """
+    for name, default in _defaults(source).items():
+        if isinstance(default, tuple):
+            default = ",".join(str(v) for v in default)
+        sub.add_argument(
+            "--" + _RENAMES.get(name, name).replace("_", "-"),
+            type=type(default), default=default, choices=choices.get(name),
+        )
+
+
+def _flag_values(source, args):
+    """source's keyword arguments, read back from the flags _add_defaults made."""
+    values = {}
+    for name, default in _defaults(source).items():
+        value = getattr(args, _RENAMES.get(name, name))
+        values[name] = parse_values(value) if isinstance(default, tuple) else value
+    return values
 
 
 def _write_text(path, text):
@@ -118,7 +132,7 @@ def cmd_decompose(args):
                 f"operator maps into {spec.dst_shape}, observation has shape {X.shape}"
             )
     ops = [spec.build() for spec in specs]
-    result = decompose(Problem(X, ops), _solver_config(args))
+    result = decompose(Problem(X, ops), SolverConfig(**_flag_values(SolverConfig, args)))
     os.makedirs(args.out_dir, exist_ok=True)
     artifacts = []
     for i, comp in enumerate(result.components):
@@ -138,48 +152,26 @@ def cmd_decompose(args):
 
 
 def cmd_phase(args):
-    spec = PhaseGridSpec(
-        mode=args.mode,
-        fixed=args.fixed,
-        ranks=parse_values(args.ranks),
-        axis=parse_values(args.axis),
-        trials=args.trials,
-        seed=args.seed,
-    )
+    spec = PhaseGridSpec(**_flag_values(PhaseGridSpec, args))
     grid = run_phase_grid(spec, threads=args.threads)
     _write_text(args.out_csv, phase_csv(grid))
     artifacts = [args.out_csv]
     if args.out_pgm:
-        img = render_heatmap(grid, args.lo_db, args.hi_db)
+        img = render_heatmap(grid, **_flag_values(render_heatmap, args))
         write_image(GrayImage(img.astype(float) / 255.0), args.out_pgm, maxval=255)
         artifacts.append(args.out_pgm)
     return artifacts
 
 
 def cmd_noise(args):
-    spec = NoiseSweepSpec(
-        n=args.n,
-        N=args.N,
-        ranks=parse_values(args.ranks),
-        snrs_db=parse_values(args.snrs),
-        trials=args.trials,
-        seed=args.seed,
-    )
+    spec = NoiseSweepSpec(**_flag_values(NoiseSweepSpec, args))
     rows = run_noise_sweep(spec, threads=args.threads)
     _write_text(args.out_csv, noise_csv(spec, rows))
     return [args.out_csv]
 
 
 def cmd_dropout(args):
-    spec = DropoutSpec(
-        n=args.n,
-        N=args.N,
-        ranks=parse_values(args.ranks),
-        snrs_db=parse_values(args.snrs),
-        trials=args.trials,
-        seed=args.seed,
-        eta=args.eta,
-    )
+    spec = DropoutSpec(**_flag_values(DropoutSpec, args))
     rows = run_dropout_experiment(spec, threads=args.threads)
     _write_text(args.out_csv, dropout_csv(spec, rows))
     return [args.out_csv]
@@ -192,7 +184,7 @@ def cmd_hide(args):
         raise DimMismatch(f"cover must be a grayscale PGM: {args.cover}")
     if not isinstance(secret, RgbImage):
         raise DimMismatch(f"secret must be a color PPM: {args.secret}")
-    container, key = conceal(cover, secret, args.strength, args.seed, args.mode)
+    container, key = conceal(cover, secret, **_flag_values(conceal, args))
     # An exact (float) container is written at 16 bits.
     write_image(container, args.out, maxval=container.maxval or 65535)
     write_key(key, args.key)
@@ -237,12 +229,10 @@ def cmd_incoherence(args):
                 f"operator takes {spec.m}x{spec.n} matrices, component has shape {A.shape}"
             )
     ops = [spec.build() for spec in specs]
+    ascent = _flag_values(incoherence_lower_bound, args)
     mus = []
     for i, A in enumerate(components):
-        est = incoherence_lower_bound(
-            A, ops, i, restarts=args.restarts, iters=args.iters, seed=args.seed
-        )
-        mus.append(est.value)
+        mus.append(incoherence_lower_bound(A, ops, i, **ascent).value)
     sys.stdout.write(certificate_csv(mus))
     return []
 
@@ -262,43 +252,27 @@ def build_parser():
     sub.add_argument("--tensor", required=True)
     sub.add_argument("--ops", required=True)
     sub.add_argument("--out-dir", required=True)
-    _add_solver_flags(sub)
+    _add_defaults(sub, SolverConfig)
 
-    phase = PhaseGridSpec()
-    heatmap = inspect.signature(render_heatmap).parameters
-    sub = add("phase", cmd_phase, "tSIR grid over rank and size or count")
-    _add_experiment_flags(sub, phase)
-    sub.add_argument("--mode", choices=MODES, default=phase.mode)
-    sub.add_argument("--fixed", type=int, default=phase.fixed)
-    sub.add_argument("--axis", default=_values_text(phase.axis))
-    sub.add_argument("--lo-db", type=float, default=heatmap["lo_db"].default)
-    sub.add_argument("--hi-db", type=float, default=heatmap["hi_db"].default)
+    def experiment(name, func, help_text, spec):
+        sub = add(name, func, help_text)
+        _add_defaults(sub, spec, mode=MODES)
+        sub.add_argument("--threads", type=int, default=os.cpu_count())
+        sub.add_argument("--out-csv", required=True)
+        return sub
+
+    sub = experiment("phase", cmd_phase, "tSIR grid over rank and size or count", PhaseGridSpec)
+    _add_defaults(sub, render_heatmap)
     sub.add_argument("--out-pgm", default=None)
+    experiment("noise", cmd_noise, "tSIR under additive Gaussian noise", NoiseSweepSpec)
+    experiment("dropout", cmd_dropout, "component-count estimation accuracy", DropoutSpec)
 
-    noise = NoiseSweepSpec()
-    sub = add("noise", cmd_noise, "tSIR under additive Gaussian noise")
-    _add_experiment_flags(sub, noise)
-    sub.add_argument("--n", type=int, default=noise.n)
-    sub.add_argument("--N", type=int, default=noise.N)
-    sub.add_argument("--snrs", default=_values_text(noise.snrs_db))
-
-    dropout = DropoutSpec()
-    sub = add("dropout", cmd_dropout, "component-count estimation accuracy")
-    _add_experiment_flags(sub, dropout)
-    sub.add_argument("--n", type=int, default=dropout.n)
-    sub.add_argument("--N", type=int, default=dropout.N)
-    sub.add_argument("--snrs", default=_values_text(dropout.snrs_db))
-    sub.add_argument("--eta", type=float, default=dropout.eta)
-
-    hide = inspect.signature(conceal).parameters
     sub = add("hide", cmd_hide, "embed a color secret in a grayscale cover")
     sub.add_argument("--cover", required=True)
     sub.add_argument("--secret", required=True)
     sub.add_argument("--out", required=True)
     sub.add_argument("--key", required=True)
-    sub.add_argument("--seed", type=int, default=hide["master_seed"].default)
-    sub.add_argument("--strength", type=float, default=hide["strength"].default)
-    sub.add_argument("--mode", choices=STEGO_MODES, default=hide["mode"].default)
+    _add_defaults(sub, conceal, mode=STEGO_MODES)
 
     sub = add("reveal", cmd_reveal, "recover the secret from a container")
     sub.add_argument("--container", required=True)
@@ -312,13 +286,10 @@ def build_parser():
     sub.add_argument("--N", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
 
-    ascent = inspect.signature(incoherence_lower_bound).parameters
     sub = add("incoherence", cmd_incoherence, "certificate report for stored components")
     sub.add_argument("--components", nargs="+", required=True)
     sub.add_argument("--ops", required=True)
-    sub.add_argument("--seed", type=int, default=ascent["seed"].default)
-    sub.add_argument("--restarts", type=int, default=ascent["restarts"].default)
-    sub.add_argument("--iters", type=int, default=ascent["iters"].default)
+    _add_defaults(sub, incoherence_lower_bound)
 
     return parser
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .analysis import sir, tsir
 from .errors import DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMaxval
-from .netpbm import GrayImage, RgbImage
+from .netpbm import GrayImage, RgbImage, quantize
 from .reshuffle import reshuffle_from_seed, reshuffle_identity
 from .rng import derive_seed
 from .solver import Problem, SolverConfig, at_noise_floor, decompose
@@ -80,7 +80,7 @@ def conceal(cover, secret, strength=0.05, master_seed=0, mode="float"):
     for c, op in enumerate(key.channel_ops()):
         pixels += key.strength * op.apply(secret.pixels[:, :, c])
     if mode == "q8":
-        pixels = np.rint(np.clip(pixels, 0.0, 1.0) * 255.0) / 255.0
+        pixels = quantize(pixels, 255) / 255.0
         return GrayImage(pixels, 255), key
     return GrayImage(pixels), key
 

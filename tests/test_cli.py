@@ -1,6 +1,8 @@
 import functools
 import inspect
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,15 @@ import rtd.stego as stego
 from rtd.analysis import incoherence_lower_bound
 from rtd.cli import main, parse_values
 from rtd.errors import DivergenceDetected
-from rtd.experiments import DropoutSpec, NoiseSweepSpec, PhaseGridSpec, render_heatmap
+from rtd.experiments import (
+    DropoutSpec,
+    NoiseSweepSpec,
+    PhaseGridSpec,
+    render_heatmap,
+    run_dropout_experiment,
+    run_noise_sweep,
+    run_phase_grid,
+)
 from rtd.formats import OpSpec, read_tensor, write_ops, write_tensor
 from rtd.linalg import random_semi_orthonormal_pair
 from rtd.netpbm import GrayImage, RgbImage, read_image, write_image
@@ -193,7 +203,7 @@ def test_solver_flag_defaults_are_the_config_defaults():
     args = cli.build_parser().parse_args(
         ["decompose", "--tensor", "x.rtd", "--ops", "ops.txt", "--out-dir", "o"]
     )
-    assert cli._solver_config(args) == SolverConfig()
+    assert SolverConfig(**cli._flag_values(SolverConfig, args)) == SolverConfig()
 
 
 class _SpecSeen(Exception):
@@ -249,6 +259,96 @@ def test_hide_and_incoherence_flag_defaults_are_the_library_defaults(tmp_path, m
         assert {k: v for k, v in call.items() if k not in inputs} == {
             k: p.default for k, p in signature.parameters.items() if k not in inputs
         }
+
+
+def test_flag_values_reach_the_library(tmp_path, monkeypatch):
+    (tmp_path / "instance").mkdir()
+    tensor, ops, _ = _write_instance(tmp_path / "instance")
+    cover_path, secret_path = _write_images(tmp_path)
+    paths, ops_path = _write_components(tmp_path)
+    csv_path = str(tmp_path / "out.csv")
+    for name, func, argv, expected in (
+        ("decompose", solver.decompose, [
+            "decompose", "--tensor", str(tensor), "--ops", str(ops),
+            "--out-dir", str(tmp_path / "o"), "--max-iter", "7", "--tol", "1e-5",
+        ], {"config": SolverConfig(max_iter=7, tol=1e-5)}),
+        ("run_phase_grid", run_phase_grid, [
+            "phase", "--mode", "rank_vs_count", "--fixed", "30", "--ranks", "1,2",
+            "--axis", "2:4", "--trials", "2", "--seed", "5", "--out-csv", csv_path,
+        ], {"spec": PhaseGridSpec("rank_vs_count", 30, (1, 2), (2, 3, 4), 2, 5)}),
+        ("run_noise_sweep", run_noise_sweep, [
+            "noise", "--n", "30", "--N", "3", "--ranks", "2", "--snrs", "5:15:5",
+            "--trials", "1", "--seed", "6", "--out-csv", csv_path,
+        ], {"spec": NoiseSweepSpec(30, 3, (2,), (5, 10, 15), 1, 6)}),
+        ("run_dropout_experiment", run_dropout_experiment, [
+            "dropout", "--n", "30", "--N", "3", "--ranks", "1,3", "--snrs", "20",
+            "--trials", "4", "--seed", "7", "--eta", "0.2", "--out-csv", csv_path,
+        ], {"spec": DropoutSpec(30, 3, (1, 3), (20,), 4, 7, 0.2)}),
+        ("render_heatmap", render_heatmap, [
+            "phase", "--fixed", "2", "--ranks", "1", "--axis", "18", "--trials", "1",
+            "--threads", "1", "--lo-db", "10", "--hi-db", "30", "--out-csv", csv_path,
+            "--out-pgm", str(tmp_path / "out.pgm"),
+        ], {"lo_db": 10.0, "hi_db": 30.0}),
+        ("conceal", stego.conceal, [
+            "hide", "--cover", str(cover_path), "--secret", str(secret_path),
+            "--out", str(tmp_path / "c.pgm"), "--key", str(tmp_path / "k"),
+            "--strength", "0.1", "--seed", "4", "--mode", "q8",
+        ], {"strength": 0.1, "master_seed": 4, "mode": "q8"}),
+        ("incoherence_lower_bound", incoherence_lower_bound, [
+            "incoherence", "--components", *paths, "--ops", str(ops_path),
+            "--restarts", "3", "--iters", "9", "--seed", "2",
+        ], {"restarts": 3, "iters": 9, "seed": 2}),
+    ):
+        with monkeypatch.context() as patch, pytest.raises(_SpecSeen) as seen:
+            patch.setattr(cli, name, _stop_with_call(func))
+            main(argv)
+        args, kwargs = seen.value.args
+        call = inspect.signature(func).bind(*args, **kwargs).arguments
+        assert {k: call[k] for k in expected} == expected
+
+
+def test_flag_dests_are_the_manifest_parameter_names():
+    # argparse accepts a flag's prefix, so a renamed flag must be checked by its dest
+    parser = cli.build_parser()
+    experiment = {"ranks", "trials", "seed", "threads", "out_csv"}
+    for argv, dests in (
+        (["decompose", "--tensor", "x", "--ops", "o", "--out-dir", "d"],
+         {"tensor", "ops", "out_dir", "max_iter", "tol"}),
+        (["phase", "--out-csv", "x"],
+         experiment | {"mode", "fixed", "axis", "lo_db", "hi_db", "out_pgm"}),
+        (["noise", "--out-csv", "x"], experiment | {"n", "N", "snrs"}),
+        (["dropout", "--out-csv", "x"], experiment | {"n", "N", "snrs", "eta"}),
+        (["hide", "--cover", "c", "--secret", "s", "--out", "o", "--key", "k"],
+         {"cover", "secret", "out", "key", "strength", "seed", "mode"}),
+        (["incoherence", "--components", "a", "--ops", "o"],
+         {"components", "ops", "restarts", "iters", "seed"}),
+    ):
+        assert set(vars(parser.parse_args(argv))) == dests | {"subcommand", "manifest", "func"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase", "--out-csv", "x.csv"],
+    ["hide", "--cover", "c.pgm", "--secret", "s.ppm", "--out", "o.pgm", "--key", "k"],
+])
+def test_unknown_mode_is_a_usage_error(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--mode", "bogus"]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_command_line_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    examples = [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("rtd ")
+    ]
+    assert {argv[1] for argv in examples} == {
+        "bound", "decompose", "phase", "noise", "dropout", "hide", "reveal", "incoherence",
+    }
+    for argv in examples:
+        cli.build_parser().parse_args(argv[1:])
 
 
 def test_divergence_exit_code(tmp_path, monkeypatch):
