@@ -25,6 +25,7 @@ from .experiments import (
     NoiseSweepSpec,
     PhaseGridSpec,
     dropout_csv,
+    heatmap_range,
     noise_csv,
     phase_csv,
     render_heatmap,
@@ -153,11 +154,14 @@ def cmd_decompose(args):
 
 def cmd_phase(args):
     spec = PhaseGridSpec(**_flag_values(PhaseGridSpec, args))
+    heatmap = _flag_values(render_heatmap, args)
+    if args.out_pgm:
+        heatmap_range(**heatmap)  # a bad range fails before the grid runs
     grid = run_phase_grid(spec, threads=args.threads)
     _write_text(args.out_csv, phase_csv(grid))
     artifacts = [args.out_csv]
     if args.out_pgm:
-        img = render_heatmap(grid, **_flag_values(render_heatmap, args))
+        img = render_heatmap(grid, **heatmap)
         write_image(GrayImage(img.astype(float) / 255.0), args.out_pgm, maxval=255)
         artifacts.append(args.out_pgm)
     return artifacts
@@ -238,12 +242,13 @@ def cmd_incoherence(args):
 
 
 def build_parser():
-    parser = _Parser(prog="rtd", description=__doc__)
+    # No prefix abbreviations: a prefix would change meaning when a flag is added.
+    parser = _Parser(prog="rtd", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"rtd {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, func, help_text):
-        sub = subs.add_parser(name, help=help_text)
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
         sub.set_defaults(func=func)
         sub.add_argument("--manifest", default=None)
         return sub

@@ -185,6 +185,15 @@ def phase_csv(grid):
     return "\n".join(lines) + "\n"
 
 
+def heatmap_range(lo_db, hi_db):
+    """(lo_db, hi_db) as floats; ValueError unless hi_db > lo_db."""
+    lo_db = float(lo_db)
+    hi_db = float(hi_db)
+    if not hi_db > lo_db:
+        raise ValueError(f"need hi_db > lo_db, got {lo_db} >= {hi_db}")
+    return lo_db, hi_db
+
+
 def render_heatmap(grid, lo_db=15.0, hi_db=25.0):
     """8-bit grayscale cells: black at/below lo_db, white at/past hi_db.
 
@@ -192,10 +201,7 @@ def render_heatmap(grid, lo_db=15.0, hi_db=25.0):
     ascending left to right.  Theoretical-bound cells are drawn at the
     mid-gray marker 128; invalid cells at black.
     """
-    lo_db = float(lo_db)
-    hi_db = float(hi_db)
-    if not hi_db > lo_db:
-        raise ValueError(f"need hi_db > lo_db, got {lo_db} >= {hi_db}")
+    lo_db, hi_db = heatmap_range(lo_db, hi_db)
     ramp = (grid.cells - lo_db) / (hi_db - lo_db)
     ramp = np.clip(np.nan_to_num(ramp, nan=0.0), 0.0, 1.0)
     img = np.rint(ramp * 255.0).astype(np.uint8)

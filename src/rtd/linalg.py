@@ -68,13 +68,21 @@ class WarmStart:
     """Start basis that carries one matrix's right singular subspace from
     one ``svt_with_values`` call to the next.
 
-    ``basis`` is None until the first call, which then takes a full SVD.
-    Each call leaves behind the kept right Ritz vectors plus the next
-    OVERSAMPLE of them, orthonormal columns of an n x w array.
+    ``basis`` holds orthonormal columns of an n x w array.  Each call
+    leaves behind the kept right Ritz vectors plus the next OVERSAMPLE of
+    them.
     """
 
-    def __init__(self):
-        self.basis = None
+    def __init__(self, basis):
+        self.basis = basis
+
+    @classmethod
+    def seeded(cls, n, seed):
+        """Start from the orthonormalised Gaussian block n x
+        (OVERSAMPLE + TAIL_BELOW) drawn from ``seed``, the randomized range
+        finder of Halko, Martinsson and Tropp (2011, section 4.1), so the
+        first call runs ``_partial_svd`` too."""
+        return cls(_semi_orthonormal(n, OVERSAMPLE + TAIL_BELOW, seed))
 
 
 # Ritz vectors kept beyond the kept rank, so the next call can see the rank grow.
@@ -120,15 +128,13 @@ def svt_with_values(M, alpha, warm=None):
     norm of the result, which the solver logs for free).
 
     ``values`` has length min(m, n).  Without ``warm`` this is an exact
-    full SVD.  With a ``WarmStart`` it is ``_partial_svd`` from the
-    subspace the previous call kept, accurate to the subspace iteration,
-    and ``warm`` is advanced; the full SVD still runs on the first call and
-    whenever ``_partial_svd`` returns None.
+    full SVD.  With a ``WarmStart`` it is ``_partial_svd`` from its basis
+    (the subspace the previous call kept, or the start block),
+    accurate to the subspace iteration, and ``warm`` is advanced; the full
+    SVD still runs whenever ``_partial_svd`` returns None.
     """
     M = _as_finite_matrix(M)
-    factors = None
-    if warm is not None and warm.basis is not None:
-        factors = _partial_svd(M, alpha, warm.basis)
+    factors = None if warm is None else _partial_svd(M, alpha, warm.basis)
     if factors is None:
         factors = np.linalg.svd(M, full_matrices=False)
     U, S, Vt = factors

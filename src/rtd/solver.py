@@ -10,9 +10,10 @@ the solver: kappa starts at default_kappa0 and grows by RHO, the dual step
 is GAMMA times kappa, and only the stopping parameters are configurable.
 The sweep carries one running vector, the scaled residual
 X - sum_i R_i(A_i) + Y/kappa, and a kappa that overflows float64 raises
-NonFinite.  Each component's threshold is a partial SVD warm-started from
-the right singular subspace it kept in the previous sweep
-(``rtd.linalg.WarmStart``).
+NonFinite.  The multiplier Y starts at zero, the usual ADMM start.  Each
+component's threshold is a partial SVD warm-started from the right singular
+subspace it kept in the previous sweep (``rtd.linalg.WarmStart``), and in
+the first sweep from a Gaussian block seeded by the component's index.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import DivergenceDetected, NonFinite, ShapeMismatch
 from .linalg import WarmStart, binary_scaled, nuclear_norm, spectral_norm, svt_with_values
+from .rng import derive_seed
 
 # Residual blowing up past this multiple of its starting value aborts the run.
 DIVERGENCE_FACTOR = 1e6
@@ -127,6 +129,10 @@ def default_kappa0(problem):
     Starting the threshold high keeps every iterate genuinely low rank
     while kappa grows; starting it low lets one component absorb the
     whole observation and stall the residual at a feasible, wrong split.
+    With the multiplier at zero, the first sweep thresholds each start
+    adjoint_i(X)/N plus what the earlier components left, so it keeps only
+    the few singular values above 1/kappa0, and the seeded warm start
+    blocks (``rtd.linalg.WarmStart.seeded``) cover them.
     """
     top = max(spectral_norm(op.adjoint(problem.X)) for op in problem.ops)
     if top == 0.0:
@@ -137,8 +143,8 @@ def default_kappa0(problem):
 def decompose(problem, config=None):
     """Run the alternating singular-value-thresholding scheme.
 
-    Initialization: Y = sgn(X) elementwise (sgn(0) = 0), A_i = adjoint_i(X)/N,
-    kappa = default_kappa0.
+    Initialization: Y = 0, A_i = adjoint_i(X)/N, kappa = default_kappa0, and
+    component i's warm start block seeded by i alone.
     Each iteration, for i = 1..N in order and using the freshest A_j:
 
         A_i <- svt( adjoint_i( X - sum_{j != i} R_j(A_j) + Y/kappa ), 1/kappa )
@@ -175,11 +181,10 @@ def decompose(problem, config=None):
     kappa_max = math.ldexp(sys.float_info.max, min(e, 0))
 
     comps = [np.ascontiguousarray(op.adjoint(X) / len(ops)) for op in ops]
-    warm = [WarmStart() for _ in ops]
+    warm = [WarmStart.seeded(op.n, derive_seed(0, i)) for i, op in enumerate(ops)]
     # The scaled copy of X becomes the running vector.
     r = X.ravel()
-    y = np.sign(r)
-    r += y / kappa
+    y = np.zeros_like(r)
     for op, a in zip(ops, comps):
         r -= a.ravel()[op.inv_perm]
 

@@ -336,6 +336,40 @@ def test_unknown_mode_is_a_usage_error(argv, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["--vers"],
+    ["noise", "--snr", "5,6", "--out-csv", "x.csv"],
+    ["hide", "--cover", "c.pgm", "--secret", "s.ppm", "--out", "o.pgm", "--key", "k",
+     "--str", "0.2"],
+    ["phase", "--out-csv", "x.csv", "--lo", "10"],
+])
+def test_flag_prefixes_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flag prefix reached the library")
+
+    # conceal stays: its signature makes the hide flags, and hide stops at
+    # its missing input files before it would call conceal.
+    for name in ("run_noise_sweep", "run_phase_grid"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_phase_checks_the_heatmap_range_before_solving(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(cli, "run_phase_grid", refuse)
+    for lo, hi in (("30", "10"), ("20", "20")):
+        assert main([
+            "phase", "--lo-db", lo, "--hi-db", hi, "--out-pgm", str(tmp_path / "p.pgm"),
+            "--out-csv", str(tmp_path / "p.csv"),
+        ]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_readme_command_line_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]

@@ -7,6 +7,7 @@ from rtd.linalg import (
     OVERSAMPLE,
     POWER_STEPS,
     RANK_CUTOFF,
+    TAIL_BELOW,
     WarmStart,
     nuclear_norm,
     numerical_rank,
@@ -198,12 +199,13 @@ def test_warm_partial_svt_matches_full(partial_calls, qr_calls):
     for m, n, seed in ((80, 60, 1), (60, 80, 2), (100, 100, 3)):
         M = gapped_matrix(m, n, [9.0, 7.0, 5.0, 4.0, 3.0], seed)
         nearby = M + 0.01 * gaussians(m * n, derive_seed(seed, 7)).reshape(m, n)
-        warm = WarmStart()
+        # A one-column block misses, so the first call takes the full SVD.
+        warm = WarmStart(orthonormal(n, 1, seed))
+        svt_with_values(nearby, 1.0, warm)
+        assert partial_calls[-1] is None
+        assert warm.basis.shape == (n, 5 + OVERSAMPLE)
         partial_calls.clear()
         qr_calls.clear()
-        svt_with_values(nearby, 1.0, warm)  # first call: full SVD
-        assert partial_calls == [] and qr_calls == []
-        assert warm.basis.shape == (n, 5 + OVERSAMPLE)
         out, values = svt_with_values(M, 1.0, warm)
         assert partial_calls[-1] is not None
         # One QR per power step, none for the Rayleigh-Ritz step.
@@ -215,12 +217,29 @@ def test_warm_partial_svt_matches_full(partial_calls, qr_calls):
         assert warm.basis.shape == (n, 5 + OVERSAMPLE)
 
 
+def test_seeded_warm_start_thresholds_its_first_call_partially(partial_calls):
+    width = OVERSAMPLE + TAIL_BELOW
+    for m, n, seed in ((80, 60, 4), (60, 80, 5), (100, 100, 6)):
+        warm = WarmStart.seeded(n, seed)
+        # An orthonormal Gaussian block, a pure function of the seed.
+        assert warm.basis.shape == (n, width)
+        assert np.abs(warm.basis.T @ warm.basis - np.eye(width)).max() <= 1e-12
+        assert np.array_equal(WarmStart.seeded(n, seed).basis, warm.basis)
+        assert not np.array_equal(WarmStart.seeded(n, seed + 1).basis, warm.basis)
+        M = gapped_matrix(m, n, [9.0, 7.0, 5.0], seed, tail=0.01)
+        out, values = svt_with_values(M, 1.0, warm)
+        assert partial_calls[-1] is not None
+        expect, expect_values = svt_with_values(M, 1.0)
+        assert np.abs(out - expect).max() <= 1e-8
+        assert np.abs(values - expect_values).max() <= 1e-8
+        assert warm.basis.shape == (n, width)
+
+
 def test_partial_svt_missed_block_runs_the_full_svd(partial_calls, gaussian_draws):
     # Ten singular values above alpha: a 3-column block misses the tail, and
     # the full SVD runs in place of a wider block.
     M = gapped_matrix(120, 120, np.arange(11.0, 1.0, -1.0), 4, tail=0.01)
-    warm = WarmStart()
-    warm.basis = orthonormal(120, 3, 5)
+    warm = WarmStart(orthonormal(120, 3, 5))
     out, values = svt_with_values(M, 0.5, warm)
     assert partial_calls == [None] and gaussian_draws == []
     expect, expect_values = svt_with_values(M, 0.5)
@@ -233,8 +252,7 @@ def test_partial_svt_falls_back_above_half_size(partial_calls, qr_calls, gaussia
     M = random_matrix(40, 40, 6)
     expect = svt(M, 1e-3)
     # A start block wider than min(m, n) // 2 goes straight to the full SVD.
-    warm = WarmStart()
-    warm.basis = orthonormal(40, 21, 7)
+    warm = WarmStart(orthonormal(40, 21, 7))
     assert np.array_equal(svt_with_values(M, 1e-3, warm)[0], expect)
     assert partial_calls == [None] and qr_calls == [] and gaussian_draws == []
     # A block of half the size runs the subspace iteration.  A full-rank
@@ -252,7 +270,7 @@ def test_warm_partial_svt_keeps_a_wide_dynamic_range(partial_calls):
     for m, n, seed in ((100, 100, 1), (80, 60, 2), (60, 80, 3)):
         M = gapped_matrix(m, n, top, seed, tail=1e-6)
         nearby = M + 1e-7 * gaussians(m * n, derive_seed(seed, 7)).reshape(m, n)
-        warm = WarmStart()
+        warm = WarmStart.seeded(n, seed)
         svt_with_values(nearby, 5e-5, warm)
         out, values = svt_with_values(M, 5e-5, warm)
         assert partial_calls[-1] is not None
@@ -263,8 +281,7 @@ def test_warm_partial_svt_keeps_a_wide_dynamic_range(partial_calls):
 
 def test_partial_svt_large_alpha_gives_zero(partial_calls):
     M = gapped_matrix(64, 64, [4.0, 2.0], 8)
-    warm = WarmStart()
-    warm.basis = orthonormal(64, OVERSAMPLE, 9)
+    warm = WarmStart(orthonormal(64, OVERSAMPLE, 9))
     out, values = svt_with_values(M, spectral_norm(M), warm)
     assert partial_calls[-1] is not None
     assert not out.any()
@@ -274,8 +291,7 @@ def test_partial_svt_large_alpha_gives_zero(partial_calls):
 
 def test_partial_svt_reruns_identical():
     def run():
-        warm = WarmStart()
-        warm.basis = orthonormal(96, 2, 3)
+        warm = WarmStart(orthonormal(96, 2, 3))
         outs = []
         for seed in range(4):
             M = gapped_matrix(96, 96, np.arange(8.0, 0.0, -1.0), 10 + seed)

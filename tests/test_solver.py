@@ -119,7 +119,7 @@ def _reference_decompose(problem, iterations):
     dual step GAMMA * kappa."""
     x, ops = problem.X.ravel(), problem.ops
     kappa0, rho, gamma = default_kappa0(problem), solver_mod.RHO, solver_mod.GAMMA
-    y = np.sign(x)
+    y = np.zeros_like(x)
     comps = [op.adjoint(problem.X) / len(ops) for op in ops]
     residuals = []
     for k in range(1, iterations + 1):
@@ -146,6 +146,24 @@ def test_running_vector_matches_the_plain_update(n, monkeypatch):
     for got, want in zip(result.components, comps):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.allclose(result.residual_history, residuals, rtol=0.0, atol=1e-13)
+
+
+def test_first_two_sweeps_take_no_full_svd(monkeypatch):
+    # Y = 0 and a seeded Gaussian start block keep the first thresholds low
+    # rank, so every one of them is a partial SVD.
+    results = []
+    real = linalg_mod._partial_svd
+
+    def spy(M, alpha, V):
+        results.append(real(M, alpha, V))
+        return results[-1]
+
+    monkeypatch.setattr(linalg_mod, "_partial_svd", spy)
+    for seed in range(3):
+        _, ops, X = make_instance(60, 2, 2, seed)
+        results.clear()
+        decompose(Problem(X, ops), SolverConfig(max_iter=2, tol=1e-30))
+        assert len(results) == 4 and None not in results, seed
 
 
 def test_kappa_overflow_raises_nonfinite(monkeypatch):
@@ -189,13 +207,15 @@ def test_results_do_not_change_with_the_scale_of_the_observation():
 
 def test_history_past_float64_is_inf_without_warning():
     # pytest turns warnings into errors here, so an overflow warning fails.
-    X = np.full((2, 2), 8e307)
-    result = decompose(Problem(X, [reshuffle_identity(2, 2, (2, 2))]))
+    # ||X||_F is 1.6e308, but the nuclear norm of X is 3.2e308.
+    X = 8e307 * np.eye(4)
+    result = decompose(Problem(X, [reshuffle_identity(4, 4, (4, 4))]))
     assert result.converged
     # Exact to the solve's tolerance, as in acceptance criterion 3.
     assert np.abs(result.components[0] - X).max() <= 1e-6 * 8e307
-    # The first sweep's nuclear norm is about 2.9e308 in the units of X.
-    assert result.objective_history[0] == np.inf
+    # The first sweep keeps a fifth of X; the last keeps all of it.
+    assert np.isfinite(result.objective_history[0])
+    assert result.objective_history[-1] == np.inf
 
 
 def test_noise_floor_does_not_change_with_the_scale_of_the_observation():
