@@ -129,9 +129,9 @@ def svt_with_values(M, alpha, warm=None):
 
     ``values`` has length min(m, n).  Without ``warm`` this is an exact
     full SVD.  With a ``WarmStart`` it is ``_partial_svd`` from its basis
-    (the subspace the previous call kept, or the start block),
-    accurate to the subspace iteration, and ``warm`` is advanced; the full
-    SVD still runs whenever ``_partial_svd`` returns None.
+    (the subspace the previous call kept, or the start block), accurate to
+    the subspace iteration, and ``warm`` is advanced; the full SVD still
+    runs whenever ``_partial_svd`` returns None.
     """
     M = _as_finite_matrix(M)
     factors = None if warm is None else _partial_svd(M, alpha, warm.basis)
