@@ -123,17 +123,9 @@ def _write_text(path, text):
 
 
 def cmd_decompose(args):
-    X = read_tensor(args.tensor)
-    specs = read_ops(args.ops)
-    # Shapes are checked before any permutation is built, so an operator
-    # file cannot make the build allocate more than the tensor holds.
-    for spec in specs:
-        if spec.dst_shape != X.shape:
-            raise ShapeMismatch(
-                f"operator maps into {spec.dst_shape}, observation has shape {X.shape}"
-            )
-    ops = [spec.build() for spec in specs]
-    result = decompose(Problem(X, ops), SolverConfig(**_flag_values(SolverConfig, args)))
+    # Problem checks every operator's shape before any permutation is built.
+    problem = Problem(read_tensor(args.tensor), read_ops(args.ops))
+    result = decompose(problem, SolverConfig(**_flag_values(SolverConfig, args)))
     os.makedirs(args.out_dir, exist_ok=True)
     artifacts = []
     for i, comp in enumerate(result.components):
@@ -222,17 +214,16 @@ def cmd_bound(args):
 
 def cmd_incoherence(args):
     components = [read_tensor(p) for p in args.components]
-    specs = read_ops(args.ops)
-    if len(components) != len(specs):
+    ops = read_ops(args.ops)
+    if len(components) != len(ops):
         raise DimMismatch(
-            f"{len(components)} component files but {len(specs)} operators"
+            f"{len(components)} component files but {len(ops)} operators"
         )
-    for spec, A in zip(specs, components):
-        if (spec.m, spec.n) != A.shape:
+    for op, A in zip(ops, components):
+        if (op.m, op.n) != A.shape:
             raise ShapeMismatch(
-                f"operator takes {spec.m}x{spec.n} matrices, component has shape {A.shape}"
+                f"operator takes {op.m}x{op.n} matrices, component has shape {A.shape}"
             )
-    ops = [spec.build() for spec in specs]
     ascent = _flag_values(incoherence_lower_bound, args)
     mus = []
     for i, A in enumerate(components):

@@ -88,9 +88,10 @@ def _run_cells(spec, trial, cells, threads):
     count.
     """
     jobs = [(trial, spec, i, cell) for i, cell in enumerate(cells) if cell is not None]
-    if threads <= 1:
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         return [_cell_trials(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_cell_trials, jobs))
 
 

@@ -1,4 +1,4 @@
-"""On-disk formats: dense tensors and reshuffle-operator specs.
+"""On-disk formats: dense tensors and reshuffle operators.
 
 Tensors use a three-line text header followed by a little-endian float64
 payload in canonical row-major order:
@@ -7,21 +7,24 @@ payload in canonical row-major order:
     shape K I1 ... IK
     dtype f64
 
-Operator files persist (m, n, dst_shape, seed) tuples, never raw
-permutations, one operator per line:
+Operator files hold the fields (m, n, dst_shape, seed) of each
+ReshuffleOp, never raw permutations, one operator per line:
 
     rtd-ops v1
     identity m n I1 ... IK
     seeded m n seed I1 ... IK
+
+``read_ops`` returns ReshuffleOps and ``write_ops`` writes them.  Reading
+checks every line's element counts and builds no permutation: an operator
+builds its own on first use.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedHeader
-from .reshuffle import reshuffle_from_seed, reshuffle_identity
+from .reshuffle import ReshuffleOp
 
 TENSOR_MAGIC = "rtd-tensor v1"
 OPS_MAGIC = "rtd-ops v1"
@@ -72,37 +75,14 @@ def read_tensor(path):
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-@dataclass(frozen=True)
-class OpSpec:
-    """Constructible description of one reshuffle: kind + dims + optional seed."""
-
-    kind: str
-    m: int
-    n: int
-    dst_shape: tuple
-    seed: int = None
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "seeded"):
-            raise MalformedHeader(f"unknown operator kind {self.kind!r}")
-        if self.kind == "seeded" and self.seed is None:
-            raise MalformedHeader("seeded operator needs a seed")
-        object.__setattr__(self, "dst_shape", tuple(int(e) for e in self.dst_shape))
-
-    def build(self):
-        if self.kind == "identity":
-            return reshuffle_identity(self.m, self.n, self.dst_shape)
-        return reshuffle_from_seed(self.m, self.n, self.dst_shape, self.seed)
-
-
-def write_ops(specs, path):
+def write_ops(ops, path):
     lines = [OPS_MAGIC]
-    for s in specs:
-        shape = " ".join(str(e) for e in s.dst_shape)
-        if s.kind == "identity":
-            lines.append(f"identity {s.m} {s.n} {shape}")
+    for op in ops:
+        shape = " ".join(str(e) for e in op.dst_shape)
+        if op.seed is None:
+            lines.append(f"identity {op.m} {op.n} {shape}")
         else:
-            lines.append(f"seeded {s.m} {s.n} {s.seed} {shape}")
+            lines.append(f"seeded {op.m} {op.n} {op.seed} {shape}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -115,22 +95,21 @@ def read_ops(path):
         raise MalformedHeader(f"operator file {path} is not text: {exc}") from None
     if not lines or lines[0] != OPS_MAGIC:
         raise MalformedHeader(f"bad magic line in {path}")
-    specs = []
+    ops = []
     for ln in lines[1:]:
-        fields = ln.split()
+        kind, *fields = ln.split()
+        if kind not in ("identity", "seeded"):
+            raise MalformedHeader(f"unknown operator kind {kind!r}")
+        seeded = kind == "seeded"
         try:
-            if fields[0] == "identity":
-                specs.append(OpSpec("identity", int(fields[1]), int(fields[2]),
-                                    tuple(int(v) for v in fields[3:])))
-            elif fields[0] == "seeded":
-                specs.append(OpSpec("seeded", int(fields[1]), int(fields[2]),
-                                    tuple(int(v) for v in fields[4:]), seed=int(fields[3])))
-            else:
-                raise MalformedHeader(f"unknown operator kind {fields[0]!r}")
+            m, n = int(fields[0]), int(fields[1])
+            seed = int(fields[2]) if seeded else None
+            shape = tuple(int(v) for v in fields[2 + seeded:])
         except (IndexError, ValueError):
             raise MalformedHeader(f"malformed operator line {ln!r}") from None
-        if not specs[-1].dst_shape:
+        if not shape:
             raise MalformedHeader(f"operator line missing tensor shape: {ln!r}")
-    if not specs:
+        ops.append(ReshuffleOp(m, n, shape, seed))
+    if not ops:
         raise MalformedHeader(f"no operators listed in {path}")
-    return specs
+    return ops

@@ -8,6 +8,7 @@ fastest), which this module uses for both matrices and tensors.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,20 +33,41 @@ def _check_counts(m, n, dst_shape):
 class ReshuffleOp:
     """Bijection between an m x n matrix and a tensor of equal element count.
 
-    ``perm`` maps matrix linear index k to tensor linear index perm[k]
-    (both row-major); ``inv_perm`` is its inverse.  Both directions are
-    stored so apply and adjoint are each a single gather pass.
+    The operator is fully described by its fields: ``seed`` None is classical
+    folding (the identity), any other seed the uniformly random reshuffle of
+    ``random_permutation(m * n, seed)``.  The fields are checked at
+    construction; the permutations are built on first use, so an operator
+    that is never applied allocates nothing.  ``perm`` maps matrix linear
+    index k to tensor linear index perm[k] (both row-major); ``inv_perm`` is
+    its inverse.  Both directions are kept so apply and adjoint are each a
+    single gather pass.
     """
 
     m: int
     n: int
     dst_shape: tuple
-    perm: np.ndarray
-    inv_perm: np.ndarray
+    seed: int = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "dst_shape", _check_counts(self.m, self.n, self.dst_shape))
 
     @property
     def size(self):
         return self.m * self.n
+
+    @cached_property
+    def perm(self):
+        if self.seed is None:
+            return _freeze(np.arange(self.size, dtype=np.intp))
+        return _freeze(random_permutation(self.size, self.seed))
+
+    @cached_property
+    def inv_perm(self):
+        if self.seed is None:
+            return self.perm
+        inv_perm = np.empty_like(self.perm)
+        inv_perm[self.perm] = np.arange(self.size, dtype=np.intp)
+        return _freeze(inv_perm)
 
     def apply(self, A):
         """Relocate matrix ``A`` into a tensor of shape ``dst_shape``."""
@@ -69,18 +91,12 @@ def _freeze(a):
 
 def reshuffle_identity(m, n, dst_shape):
     """Classical folding: the identity permutation under row-major order."""
-    dst_shape = _check_counts(m, n, dst_shape)
-    perm = _freeze(np.arange(m * n, dtype=np.intp))
-    return ReshuffleOp(m, n, dst_shape, perm, perm)
+    return ReshuffleOp(m, n, dst_shape)
 
 
 def reshuffle_from_seed(m, n, dst_shape, seed):
     """Uniformly random reshuffle, reproducible from (m, n, dst_shape, seed)."""
-    dst_shape = _check_counts(m, n, dst_shape)
-    perm = random_permutation(m * n, seed)
-    inv_perm = np.empty_like(perm)
-    inv_perm[perm] = np.arange(m * n, dtype=np.intp)
-    return ReshuffleOp(m, n, dst_shape, _freeze(perm), _freeze(inv_perm))
+    return ReshuffleOp(m, n, dst_shape, seed)
 
 
 def cross_map(op_i, op_j):

@@ -7,6 +7,7 @@ identity reshuffle plus one seeded reshuffle per channel.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,12 +61,13 @@ class StegoKey:
         object.__setattr__(self, "master_seed", int(self.master_seed))
         object.__setattr__(self, "strength", float(self.strength))
 
+    @cached_property
     def channel_ops(self):
         sh, sw = self.secret_dims
-        return [
+        return tuple(
             reshuffle_from_seed(sh, sw, self.cover_dims, derive_seed(self.master_seed, c))
             for c in range(3)
-        ]
+        )
 
 
 def conceal(cover, secret, strength=0.05, master_seed=0, mode="float"):
@@ -77,7 +79,7 @@ def conceal(cover, secret, strength=0.05, master_seed=0, mode="float"):
     """
     key = StegoKey(master_seed, cover.pixels.shape, secret.pixels.shape[:2], strength, mode)
     pixels = cover.pixels.astype(np.float64).copy()
-    for c, op in enumerate(key.channel_ops()):
+    for c, op in enumerate(key.channel_ops):
         pixels += key.strength * op.apply(secret.pixels[:, :, c])
     if mode == "q8":
         pixels = quantize(pixels, 255) / 255.0
@@ -120,7 +122,7 @@ def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
             raise DimMismatch(f"reference image must be a {dims[0]}x{dims[1]} {kind.__name__}")
     config = _reveal_config(container, config)
     ch, cw = key.cover_dims
-    ops = [reshuffle_identity(ch, cw, (ch, cw))] + key.channel_ops()
+    ops = [reshuffle_identity(ch, cw, (ch, cw)), *key.channel_ops]
     result = decompose(Problem(container.pixels, ops), config)
     cover_est = GrayImage(np.clip(result.components[0], 0.0, 1.0))
     channels = [

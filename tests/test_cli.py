@@ -23,9 +23,10 @@ from rtd.experiments import (
     run_noise_sweep,
     run_phase_grid,
 )
-from rtd.formats import OpSpec, read_tensor, write_ops, write_tensor
+from rtd.formats import read_tensor, write_ops, write_tensor
 from rtd.linalg import random_semi_orthonormal_pair
 from rtd.netpbm import GrayImage, RgbImage, read_image, write_image
+from rtd.reshuffle import ReshuffleOp
 from rtd.solver import SolverConfig
 
 from conftest import low_rank_image
@@ -77,12 +78,12 @@ def test_usage_errors_exit_1(tmp_path):
 def _write_instance(tmp_path, n=10, r=2, seed=5):
     U, V = random_semi_orthonormal_pair(n, r, seed)
     A = U @ V.T
-    spec = OpSpec("seeded", n, n, (n * n,), seed=seed + 1)
-    X = spec.build().apply(A)
+    op = ReshuffleOp(n, n, (n * n,), seed + 1)
+    X = op.apply(A)
     tensor = tmp_path / "x.rtd"
     ops = tmp_path / "ops.txt"
     write_tensor(X, tensor)
-    write_ops([spec], ops)
+    write_ops([op], ops)
     return tensor, ops, A
 
 
@@ -142,11 +143,11 @@ def test_decompose_operator_shape_mismatch_exits_2(tmp_path, capsys, no_permutat
     write_tensor(np.zeros((4, 4)), tensor)
     ops = tmp_path / "ops.txt"
     # 4e8 entries: building this permutation would need gigabytes
-    for spec in (
-        OpSpec("seeded", 20000, 20000, (20000, 20000), seed=1),
-        OpSpec("seeded", 4, 4, (16,), seed=1),
+    for op in (
+        ReshuffleOp(20000, 20000, (20000, 20000), 1),
+        ReshuffleOp(4, 4, (16,), 1),
     ):
-        write_ops([spec], ops)
+        write_ops([op], ops)
         assert main([
             "decompose", "--tensor", str(tensor), "--ops", str(ops),
             "--out-dir", str(tmp_path / "o"),
@@ -385,6 +386,16 @@ def test_readme_command_line_examples_parse():
         cli.build_parser().parse_args(argv[1:])
 
 
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    first, second = capsys.readouterr().out.splitlines()
+    iterations, converged = first.split()
+    assert int(iterations) > 0 and converged == "True"
+    assert float(second.split()[1]) > 100.0
+
+
 def test_divergence_exit_code(tmp_path, monkeypatch):
     tensor, ops, _ = _write_instance(tmp_path)
 
@@ -536,6 +547,27 @@ def test_hide_rejects_color_cover(tmp_path):
     ]) == 2
 
 
+def test_hide_rejects_gray_secret_and_reveal_rejects_color_container(tmp_path, capsys):
+    cover_path, secret_path = _write_images(tmp_path)
+    key = tmp_path / "stego.key"
+    assert main([
+        "hide", "--cover", str(cover_path), "--secret", str(cover_path),
+        "--out", str(tmp_path / "c.pgm"), "--key", str(key),
+    ]) == 2
+    assert "rtd: secret must be a color PPM" in capsys.readouterr().err
+    assert main([
+        "hide", "--cover", str(cover_path), "--secret", str(secret_path),
+        "--out", str(tmp_path / "c.pgm"), "--key", str(key),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "reveal", "--container", str(secret_path), "--key", str(key),
+        "--out", str(tmp_path / "s.ppm"),
+    ]) == 2
+    assert "rtd: container must be a grayscale PGM" in capsys.readouterr().err
+    assert not (tmp_path / "s.ppm").exists()
+
+
 @pytest.mark.parametrize("strength", ["nan", "inf"])
 def test_hide_refuses_a_non_finite_strength(strength, tmp_path, capsys):
     cover_path, secret_path = _write_images(tmp_path)
@@ -618,7 +650,7 @@ def test_reveal_with_wrong_reference_image_exits_2_before_solving(
 
 
 def _write_components(tmp_path, n=6):
-    specs = [OpSpec("seeded", n, n, (n * n,), seed=s) for s in (1, 2)]
+    ops = [ReshuffleOp(n, n, (n * n,), s) for s in (1, 2)]
     paths = []
     for i in range(2):
         U, V = random_semi_orthonormal_pair(n, 1, 30 + i)
@@ -626,7 +658,7 @@ def _write_components(tmp_path, n=6):
         write_tensor(U @ V.T, path)
         paths.append(str(path))
     ops_path = tmp_path / "ops.txt"
-    write_ops(specs, ops_path)
+    write_ops(ops, ops_path)
     return paths, ops_path
 
 
@@ -648,9 +680,9 @@ def test_incoherence_report(tmp_path, capsys):
 
 def test_incoherence_count_mismatch_exits_2(tmp_path, no_permutations):
     n = 4
-    specs = [OpSpec("seeded", n, n, (n * n,), seed=s) for s in (1, 2)]
+    ops = [ReshuffleOp(n, n, (n * n,), s) for s in (1, 2)]
     ops_path = tmp_path / "ops.txt"
-    write_ops(specs, ops_path)
+    write_ops(ops, ops_path)
     path = tmp_path / "c.rtd"
     write_tensor(np.eye(n), path)
     assert main([
@@ -660,7 +692,7 @@ def test_incoherence_count_mismatch_exits_2(tmp_path, no_permutations):
 
 def test_incoherence_operator_shape_mismatch_exits_2(tmp_path, capsys, no_permutations):
     ops_path = tmp_path / "ops.txt"
-    write_ops([OpSpec("seeded", 20000, 20000, (20000 * 20000,), seed=1)], ops_path)
+    write_ops([ReshuffleOp(20000, 20000, (20000 * 20000,), 1)], ops_path)
     path = tmp_path / "c.rtd"
     write_tensor(np.eye(4), path)
     assert main([

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rtd.experiments as experiments
 from rtd.errors import AllZeroSignal
 from rtd.experiments import (
     DropoutSpec,
@@ -217,6 +218,33 @@ def test_process_pool_matches_serial():
     serial = run_dropout_experiment(dropout, threads=1)
     assert run_dropout_experiment(dropout, threads=2) == serial
     assert [row[:2] for row in serial] == [(30.0, 1), (30.0, 2), (25, 1), (25, 2)]
+
+
+def test_pool_starts_no_more_workers_than_cells(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    spec = PhaseGridSpec("rank_vs_size", 2, ranks=(1,), axis=(18, 20), trials=1, seed=5)
+    serial = run_phase_grid(spec, threads=1)
+    assert pools == []
+    assert phase_csv(run_phase_grid(spec, threads=64)) == phase_csv(serial)
+    assert pools == [2]
+    all_invalid = PhaseGridSpec("rank_vs_size", 2, ranks=(6,), axis=(5,), trials=1)
+    assert run_phase_grid(all_invalid, threads=4).invalid.all()
+    assert pools == [2]
 
 
 def test_dropout_spec_validation():

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from rtd.errors import MalformedHeader
+from rtd.errors import MalformedHeader, ShapeMismatch
 from rtd.formats import (
     OPS_MAGIC,
     TENSOR_MAGIC,
-    OpSpec,
     read_ops,
     read_tensor,
     write_ops,
     write_tensor,
 )
-from rtd.reshuffle import reshuffle_from_seed, reshuffle_identity
+from rtd.reshuffle import ReshuffleOp
 from rtd.rng import gaussians
 
 
@@ -39,6 +38,7 @@ def test_tensor_malformed(tmp_path):
     cases = {
         "magic": b"rtd-tensor v2\nshape 1 2\ndtype f64\n" + b"\x00" * 16,
         "shape": b"rtd-tensor v1\nshape 2 2\ndtype f64\n" + b"\x00" * 16,
+        "keyword": b"rtd-tensor v1\nsize 1 2\ndtype f64\n" + b"\x00" * 16,
         "alpha": b"rtd-tensor v1\nshape 1 x\ndtype f64\n" + b"\x00" * 16,
         "dtype": b"rtd-tensor v1\nshape 1 2\ndtype f32\n" + b"\x00" * 16,
         "short": b"rtd-tensor v1\nshape 1 2\ndtype f64\n" + b"\x00" * 8,
@@ -62,32 +62,13 @@ def test_read_tensor_overflowing_shape_is_malformed(tmp_path):
 
 
 def test_ops_roundtrip(tmp_path):
-    specs = [
-        OpSpec("identity", 4, 6, (2, 12)),
-        OpSpec("seeded", 4, 6, (24,), seed=99),
-    ]
+    ops = [ReshuffleOp(4, 6, (2, 12)), ReshuffleOp(4, 6, (24,), 99)]
     path = tmp_path / "ops.txt"
-    write_ops(specs, path)
+    write_ops(ops, path)
     assert path.read_text() == (
         "rtd-ops v1\nidentity 4 6 2 12\nseeded 4 6 99 24\n"
     )
-    back = read_ops(path)
-    assert back == specs
-
-
-def test_opspec_build_matches_constructors():
-    ident = OpSpec("identity", 3, 4, (12,)).build()
-    assert np.array_equal(ident.perm, reshuffle_identity(3, 4, (12,)).perm)
-    seeded = OpSpec("seeded", 3, 4, (2, 6), seed=7).build()
-    assert np.array_equal(seeded.perm, reshuffle_from_seed(3, 4, (2, 6), 7).perm)
-    assert seeded.dst_shape == (2, 6)
-
-
-def test_opspec_validation():
-    with pytest.raises(MalformedHeader):
-        OpSpec("rotate", 2, 2, (4,))
-    with pytest.raises(MalformedHeader):
-        OpSpec("seeded", 2, 2, (4,))
+    assert read_ops(path) == ops
 
 
 def test_read_ops_malformed(tmp_path):
@@ -105,6 +86,13 @@ def test_read_ops_malformed(tmp_path):
             read_ops(path)
     path.write_bytes(b"rtd-ops v1\nidentity 2 2 \xff\n")
     with pytest.raises(MalformedHeader, match="not text"):
+        read_ops(path)
+
+
+def test_read_ops_checks_element_counts(tmp_path):
+    path = tmp_path / "ops.txt"
+    path.write_text("rtd-ops v1\nseeded 2 2 7 5\n")
+    with pytest.raises(ShapeMismatch, match="element counts differ"):
         read_ops(path)
 
 

@@ -104,6 +104,14 @@ def test_malformed_inputs(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(MalformedHeader):
             read_image(path)
+    for blob, message in (
+        (b"P5\n# no newline", "unterminated comment"),
+        (b"P5\n1 1\n255", "missing whitespace after maxval"),
+    ):
+        path = tmp_path / "header.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(MalformedHeader, match=message):
+            read_image(path)
     bad = tmp_path / "maxval.pgm"
     bad.write_bytes(b"P5\n1 1\n300\n\x00")
     with pytest.raises(UnsupportedMaxval):

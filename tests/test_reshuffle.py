@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import rtd.reshuffle as reshuffle
 from rtd.errors import ShapeMismatch
 from rtd.reshuffle import (
+    ReshuffleOp,
     cross_map,
     reshuffle_from_seed,
     reshuffle_identity,
 )
-from rtd.rng import gaussians
+from rtd.rng import gaussians, random_permutation
+from rtd.solver import Problem
 
 
 def test_identity_perm_values():
@@ -93,6 +96,30 @@ def test_shape_mismatch_errors():
         op.adjoint(np.zeros(5))
     with pytest.raises(ShapeMismatch):
         reshuffle_identity(0, 3, (0,))
+    with pytest.raises(ShapeMismatch, match="tensor extents"):
+        reshuffle_identity(2, 2, (4, 0))
+
+
+def test_fields_describe_the_operator():
+    op = ReshuffleOp(3, 4, [2, 6], 7)
+    assert op == reshuffle_from_seed(3, 4, (2, 6), 7)
+    assert op.dst_shape == (2, 6)
+    assert op.perm.tolist() == random_permutation(12, 7).tolist()
+    assert op.inv_perm[op.perm].tolist() == list(range(12))
+    ident = ReshuffleOp(3, 4, (12,))
+    assert ident == reshuffle_identity(3, 4, (12,))
+    assert ident.seed is None and ident.inv_perm is ident.perm
+
+
+def test_shapes_are_checked_before_any_permutation_is_built(monkeypatch):
+    def refuse(count, seed):
+        raise AssertionError(f"built a permutation of {count} entries")
+
+    monkeypatch.setattr(reshuffle, "random_permutation", refuse)
+    # 4e8 entries: building this permutation would need gigabytes
+    op = reshuffle_from_seed(20000, 20000, (400000000,), 1)
+    with pytest.raises(ShapeMismatch, match="operator maps into"):
+        Problem(np.zeros(16), [op])
 
 
 def test_cross_map_self_is_identity():

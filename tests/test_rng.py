@@ -108,5 +108,9 @@ def test_gaussians_odd_count():
     assert gaussians(7, 1).shape == (7,)
 
 
+def test_gaussians_zero_count():
+    assert gaussians(0, 1).shape == (0,)
+
+
 def test_gaussians_seed_separation():
     assert not np.array_equal(gaussians(64, 1), gaussians(64, 2))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rtd.reshuffle as reshuffle
 import rtd.stego as stego
 from rtd.analysis import tsir
 from rtd.errors import DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMaxval
@@ -100,6 +101,22 @@ def test_reveal_without_refs_has_solver_metrics_only():
     assert set(metrics) == {"iterations", "converged", "stop_reason", "residual", "tol"}
     assert metrics["stop_reason"] == "tol"
     assert metrics["tol"] == SolverConfig().tol
+
+
+def test_one_key_builds_its_permutations_once(monkeypatch):
+    calls = []
+    real = reshuffle.random_permutation
+
+    def spy(count, seed):
+        calls.append(count)
+        return real(count, seed)
+
+    monkeypatch.setattr(reshuffle, "random_permutation", spy)
+    cover, secret = small_pair(16, 16)
+    container, key = conceal(cover, secret)
+    for _ in range(2):
+        reveal(container, key, SolverConfig(max_iter=2))
+    assert calls == [256] * 3
 
 
 def test_wrong_seed_reveals_noise():
