@@ -63,6 +63,8 @@ class StegoKey:
 
     @cached_property
     def channel_ops(self):
+        """The three channel reshuffles, built once per key and shared by
+        conceal and every reveal with it."""
         sh, sw = self.secret_dims
         return tuple(
             reshuffle_from_seed(sh, sw, self.cover_dims, derive_seed(self.master_seed, c))
