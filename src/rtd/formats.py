@@ -15,8 +15,8 @@ ReshuffleOp, never raw permutations, one operator per line:
     seeded m n seed I1 ... IK
 
 ``read_ops`` returns ReshuffleOps and ``write_ops`` writes them.  Reading
-checks every line's element counts and builds no permutation: an operator
-builds its own on first use.
+checks every line's element counts and seed range and builds no
+permutation: an operator builds its own on first use.
 """
 
 import math

@@ -7,19 +7,26 @@ fastest), which this module uses for both matrices and tensors.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import BadIndex, ShapeMismatch
 from .rng import random_permutation
 
 
 def _check_counts(m, n, dst_shape):
+    try:
+        m, n = operator.index(m), operator.index(n)
+        dst_shape = tuple(operator.index(e) for e in dst_shape)
+    except TypeError:
+        raise ShapeMismatch(
+            f"extents must be integers, got {m!r}x{n!r} and {dst_shape!r}"
+        ) from None
     if m < 1 or n < 1:
         raise ShapeMismatch(f"matrix extents must be >= 1, got {m}x{n}")
-    dst_shape = tuple(int(e) for e in dst_shape)
     if len(dst_shape) < 1 or any(e < 1 for e in dst_shape):
         raise ShapeMismatch(f"tensor extents must be >= 1, got {dst_shape}")
     if m * n != math.prod(dst_shape):
@@ -29,17 +36,29 @@ def _check_counts(m, n, dst_shape):
     return dst_shape
 
 
+def _check_seed(seed):
+    if seed is None:
+        return None
+    try:
+        if 0 <= operator.index(seed) < 1 << 64:
+            return operator.index(seed)
+    except TypeError:
+        pass
+    raise BadIndex(f"operator seed must be None or an integer in [0, 2**64), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ReshuffleOp:
     """Bijection between an m x n matrix and a tensor of equal element count.
 
     The operator is fully described by its fields: ``seed`` None is classical
-    folding (the identity), any other seed the uniformly random reshuffle of
-    ``random_permutation(m * n, seed)``.  The fields are checked at
-    construction; the permutations are built on first use, so an operator
-    that is never applied allocates nothing.  ``perm`` maps matrix linear
-    index k to tensor linear index perm[k] (both row-major); ``inv_perm`` is
-    its inverse.  Both directions are kept so apply and adjoint are each a
+    folding (the identity), a seed in [0, 2**64) the uniformly random
+    reshuffle of ``random_permutation(m * n, seed)``.  The fields are checked
+    at construction: the extents must be integers and the seed None or in
+    range.  The permutations are built on first use, so an operator that is
+    never applied allocates nothing.  ``perm`` maps matrix linear index k to
+    tensor linear index perm[k] (both row-major); ``inv_perm`` is its
+    inverse.  Both directions are kept so apply and adjoint are each a
     single gather pass.
     """
 
@@ -50,6 +69,7 @@ class ReshuffleOp:
 
     def __post_init__(self):
         object.__setattr__(self, "dst_shape", _check_counts(self.m, self.n, self.dst_shape))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     @property
     def size(self):

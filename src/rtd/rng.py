@@ -49,20 +49,59 @@ def random_permutation(count, seed):
     The shuffle walks i = count-1 .. 1 and swaps position i with
     j = (u64 * (i+1)) >> 64 where u64 is the next stream output.  All j are
     computed at once as a multiply-high on 32-bit limbs, which is exact
-    while i+1 <= 2**32; only the swaps run in Python.
+    while i+1 <= 2**32.
+
+    The swaps are resolved with array operations and give the swap loop's
+    exact output.  Step i takes from position j what the previous step into
+    j left there, or j itself if no earlier step targeted j.  What step p
+    carries away from its own position, ``carried[p]``, is what the last
+    earlier step into p brought there: the ``carried`` of the smallest
+    i > p with j_i == p.  Pointer jumping follows these links to the
+    untouched position each chain starts from.  One sort of the packed key
+    (j << 32) | t, t = count-1-i, puts each j's steps in the order the
+    shuffle runs them.  Position 0 is never a step and ends as
+    ``carried[0]``; so does every i with j_i == i.
     """
     if count > 1 << 32:
         raise ValueError(f"permutation of {count} entries exceeds 2**32")
-    perm = list(range(count))
-    if count >= 2:
-        u = bulk_u64(seed, count - 1)
-        bound = np.arange(count, 1, -1, dtype=np.uint64)  # i + 1
-        low = (u & np.uint64(0xFFFFFFFF)) * bound
-        high = (u >> np.uint64(32)) * bound
-        draws = (high + (low >> np.uint64(32))) >> np.uint64(32)
-        for i, j in zip(range(count - 1, 0, -1), draws.tolist()):
-            perm[i], perm[j] = perm[j], perm[i]
-    return np.asarray(perm, dtype=np.intp)
+    carried = np.arange(count, dtype=np.intp)
+    if count < 2:
+        return carried
+    u = bulk_u64(seed, count - 1)
+    bound = np.arange(count, 1, -1, dtype=np.uint64)  # i + 1
+    low = (u & np.uint64(0xFFFFFFFF)) * bound
+    high = (u >> np.uint64(32)) * bound
+    draws = (high + (low >> np.uint64(32))) >> np.uint64(32)  # j of step t
+    del u, bound, low, high
+    moved = np.flatnonzero(draws != carried[:0:-1].view(np.uint64))  # t where i != j
+    key = draws[moved]
+    del draws
+    key <<= np.uint64(32)
+    key |= moved.view(np.uint64)
+    del moved
+    key.sort()
+    # The sorted steps' j and i sit at offset 1: the -1 on each side of
+    # sorted_j closes the first and last run of equal j, and sorted_i[k] is
+    # the i of the step sorted just before step k.
+    sorted_j = np.full(len(key) + 2, -1, dtype=np.intp)
+    np.right_shift(key, np.uint64(32), out=sorted_j[1:-1].view(np.uint64))
+    sorted_i = np.zeros(len(key) + 1, dtype=np.intp)
+    np.bitwise_and(key, np.uint64(0xFFFFFFFF), out=sorted_i[1:].view(np.uint64))
+    del key
+    np.subtract(count - 1, sorted_i[1:], out=sorted_i[1:])
+    runs = np.flatnonzero(sorted_j[1:] != sorted_j[:-1])  # run starts, then len(key)
+    first, last = runs[:-1], runs[1:] - 1  # the first and last step into each j
+    j, i = sorted_j[1:-1], sorted_i[1:]
+    carried[j[last]] = i[last]
+    while True:
+        jumped = carried[carried]
+        if (jumped == carried).all():
+            break
+        carried = jumped
+    taken = carried[sorted_i[:-1]]  # what the previous step into j left
+    taken[first] = j[first]
+    carried[i] = taken
+    return carried
 
 
 def gaussians(count, seed):

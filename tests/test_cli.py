@@ -156,6 +156,21 @@ def test_decompose_operator_shape_mismatch_exits_2(tmp_path, capsys, no_permutat
     assert not (tmp_path / "o").exists()
 
 
+def test_decompose_rejects_an_operator_seed_out_of_range(tmp_path, capsys):
+    tensor = tmp_path / "x.rtd"
+    write_tensor(np.zeros(4), tensor)
+    ops = tmp_path / "ops.txt"
+    ops.write_text("rtd-ops v1\nseeded 2 2 -1 4\n")
+    assert main([
+        "decompose", "--tensor", str(tensor), "--ops", str(ops),
+        "--out-dir", str(tmp_path / "o"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "rtd: operator seed must be None or an integer in [0, 2**64)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_schedule_flag_is_gone(tmp_path):
     tensor, ops, _ = _write_instance(tmp_path)
     assert main([

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rtd.reshuffle as reshuffle
-from rtd.errors import ShapeMismatch
+from rtd.errors import BadIndex, ShapeMismatch
 from rtd.reshuffle import (
     ReshuffleOp,
     cross_map,
@@ -98,6 +98,21 @@ def test_shape_mismatch_errors():
         reshuffle_identity(0, 3, (0,))
     with pytest.raises(ShapeMismatch, match="tensor extents"):
         reshuffle_identity(2, 2, (4, 0))
+    with pytest.raises(ShapeMismatch, match="integers"):
+        ReshuffleOp(2.5, 2, (5,))
+    with pytest.raises(ShapeMismatch, match="integers"):
+        ReshuffleOp(2, 2, (4.7,))
+    op = ReshuffleOp(np.int64(2), np.int32(2), (np.int64(4),))
+    assert op.dst_shape == (4,) and type(op.dst_shape[0]) is int
+
+
+def test_seed_must_be_a_64_bit_unsigned_integer():
+    for seed in (1 << 64, -1, 1.0, "3"):
+        with pytest.raises(BadIndex, match="operator seed"):
+            ReshuffleOp(2, 2, (4,), seed)
+    op = ReshuffleOp(2, 2, (4,), np.uint64((1 << 64) - 1))
+    assert op == ReshuffleOp(2, 2, (4,), (1 << 64) - 1)
+    assert op.perm.tolist() == random_permutation(4, (1 << 64) - 1).tolist()
 
 
 def test_fields_describe_the_operator():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,22 @@ def test_permutation_frozen_trace():
 def test_permutation_matches_reference():
     for count, seed in [(1, 0), (2, 3), (17, 11), (64, 9)]:
         assert list(random_permutation(count, seed)) == reference_permutation(count, seed)
+    for seed in (0, 1, (1 << 63) + 5, (1 << 64) - 1):
+        for count in range(401):
+            assert random_permutation(count, seed).tolist() == reference_permutation(count, seed)
+    assert random_permutation(100003, 21).tolist() == reference_permutation(100003, 21)
+
+
+def test_permutation_peak_memory_per_entry():
+    # A swap loop over Python lists peaks near 116 bytes per entry.
+    count = 1 << 17
+    tracemalloc.start()
+    try:
+        random_permutation(count, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 72 * count
 
 
 def test_permutation_matches_bounded_draws():
