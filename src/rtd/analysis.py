@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllZeroSignal, BadIndex, DegenerateRank, ShapeMismatch
+from .formats import csv_text
 from .linalg import numerical_rank, spectral_norm, svd_full
 from .reshuffle import cross_map
-from .rng import derive_seed, gaussians
+from .rng import check_seed, derive_seed, gaussians
 
 DB_CAP = 300.0
 
@@ -198,6 +199,7 @@ def incoherence_lower_bound(A, ops, i, restarts=8, iters=50, seed=0):
     restarts = int(restarts)
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
+    seed = check_seed(seed)
     others = [(j, ops[j]) for j in range(len(ops)) if j != i]
     if not others:
         return IncoherenceEstimate(0.0, restarts, [0.0] * restarts, [True] * restarts)
@@ -240,8 +242,8 @@ def certificate_csv(mu_values):
     """One CSV line per component: index, lower bound, threshold, verdict."""
     mu_values = _mu_list(mu_values)
     thr = certificate_threshold(len(mu_values))
-    lines = ["component,mu_lower_bound,threshold,verdict"]
-    for idx, mu in enumerate(mu_values):
-        verdict = "not falsified" if mu < thr else "falsified"
-        lines.append(f"{idx},{mu!r},{thr!r},{verdict}")
-    return "\n".join(lines) + "\n"
+    rows = [
+        (idx, mu, thr, "not falsified" if mu < thr else "falsified")
+        for idx, mu in enumerate(mu_values)
+    ]
+    return csv_text("component,mu_lower_bound,threshold,verdict", rows)

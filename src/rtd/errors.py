@@ -26,7 +26,7 @@ class AllZeroSignal(RtdError):
 
 
 class BadIndex(RtdError):
-    """Component index or operator seed out of range."""
+    """Component index or seed out of range."""
 
 
 class DegenerateRank(RtdError):

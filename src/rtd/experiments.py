@@ -13,8 +13,9 @@ import numpy as np
 from .analysis import estimate_component_count, recovery_bound_min_n, tsir
 from .errors import AllZeroSignal
 from .linalg import binary_scaled, random_semi_orthonormal_pair
-from .reshuffle import reshuffle_from_seed
-from .rng import bulk_u64, derive_seed, gaussians
+from .formats import csv_text
+from .reshuffle import observe, reshuffle_from_seed
+from .rng import bulk_u64, check_seed, derive_seed, gaussians
 from .solver import Problem, SolverConfig, at_noise_floor, decompose
 
 MODES = ("rank_vs_size", "rank_vs_count")
@@ -36,10 +37,7 @@ def make_instance(n, r, N, seed, dst_shape=None):
         U, V = random_semi_orthonormal_pair(n, r, derive_seed(seed, i))
         comps.append(U @ V.T)
         ops.append(reshuffle_from_seed(n, n, dst_shape, derive_seed(seed, N + i)))
-    X = np.zeros(dst_shape)
-    for op, A in zip(ops, comps):
-        X += op.apply(A)
-    return comps, ops, X
+    return comps, ops, observe(ops, comps)
 
 
 def noise_sigma(X, snr_db):
@@ -61,15 +59,18 @@ def add_gaussian_noise(X, snr_db, seed):
     return X + sigma * gaussians(X.size, seed).reshape(X.shape)
 
 
-def _check_spec(spec, *lists):
+def _check_spec(spec, lists, counts):
     """Checks shared by the experiment specs: the named value lists are
-    nonempty and there is at least one trial per cell."""
+    nonempty, the named counts (trials per cell, sizes, component counts)
+    are integers >= 1, and the seed is in range for the stream."""
     for name in lists:
         if not getattr(spec, name):
             raise ValueError(f"{name} must be nonempty")
-    if int(spec.trials) < 1:
-        raise ValueError(f"trials must be >= 1, got {spec.trials}")
-    object.__setattr__(spec, "trials", int(spec.trials))
+    for name in counts:
+        if int(getattr(spec, name)) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(spec, name)}")
+        object.__setattr__(spec, name, int(getattr(spec, name)))
+    object.__setattr__(spec, "seed", check_seed(spec.seed))
 
 
 def _cell_trials(job):
@@ -114,10 +115,7 @@ class PhaseGridSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if int(self.fixed) < 1:
-            raise ValueError(f"fixed parameter must be >= 1, got {self.fixed}")
-        _check_spec(self, "ranks", "axis")
-        object.__setattr__(self, "fixed", int(self.fixed))
+        _check_spec(self, ("ranks", "axis"), ("fixed", "trials"))
         object.__setattr__(self, "ranks", tuple(sorted(int(r) for r in self.ranks)))
         object.__setattr__(self, "axis", tuple(sorted(int(a) for a in self.axis)))
 
@@ -177,13 +175,13 @@ def run_phase_grid(spec, threads=1):
 
 def phase_csv(grid):
     """One line per cell: rank, axis value, trials, mean tSIR, bound flag."""
-    lines = ["row_value,col_value,trial_count,mean_tsir_db,bound_flag"]
-    for row, r in enumerate(grid.spec.ranks):
-        for col, a in enumerate(grid.spec.axis):
-            mean = grid.cells[row, col]
-            flag = int(grid.bound_flags[row, col])
-            lines.append(f"{r},{a},{grid.spec.trials},{float(mean)!r},{flag}")
-    return "\n".join(lines) + "\n"
+    spec = grid.spec
+    rows = [
+        (r, a, spec.trials, grid.cells[row, col], grid.bound_flags[row, col])
+        for row, r in enumerate(spec.ranks)
+        for col, a in enumerate(spec.axis)
+    ]
+    return csv_text("row_value,col_value,trial_count,mean_tsir_db,bound_flag", rows)
 
 
 def heatmap_range(lo_db, hi_db):
@@ -222,7 +220,7 @@ class NoiseSweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_spec(self, "ranks", "snrs_db")
+        _check_spec(self, ("ranks", "snrs_db"), ("n", "N", "trials"))
 
 
 # The noisy solves stop one decade below the noise floor: stopping exactly
@@ -259,10 +257,8 @@ def run_noise_sweep(spec, threads=1):
 
 
 def noise_csv(spec, rows):
-    lines = ["rank,snr_db,trial_count,mean_tsir_db"]
-    for r, snr_db, mean in rows:
-        lines.append(f"{r},{float(snr_db)!r},{spec.trials},{float(mean)!r}")
-    return "\n".join(lines) + "\n"
+    rows = [(r, float(snr_db), spec.trials, float(mean)) for r, snr_db, mean in rows]
+    return csv_text("rank,snr_db,trial_count,mean_tsir_db", rows)
 
 
 @dataclass(frozen=True)
@@ -278,7 +274,7 @@ class DropoutSpec:
     eta: float = 0.1
 
     def __post_init__(self):
-        _check_spec(self, "ranks", "snrs_db")
+        _check_spec(self, ("ranks", "snrs_db"), ("n", "N", "trials"))
         if not float(self.eta) > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
 
@@ -291,10 +287,7 @@ def _dropout_trial(spec, cell, seed):
     removed = (bulk_u64(derive_seed(seed, 2), spec.N) >> np.uint64(63)).astype(bool)
     for i in np.flatnonzero(removed):
         comps[i] = np.zeros_like(comps[i])
-    X = np.zeros(ops[0].dst_shape)
-    for op, A in zip(ops, comps):
-        X += op.apply(A)
-    result = _noisy_solve(X, ops, snr_db, seed)
+    result = _noisy_solve(observe(ops, comps), ops, snr_db, seed)
     kept = spec.N - int(removed.sum())
     hit = estimate_component_count(result.components, spec.eta) == kept
     return hit, tsir(comps, result.components) if kept else None
@@ -314,7 +307,7 @@ def run_dropout_experiment(spec, threads=1):
 
 
 def dropout_csv(spec, rows):
-    lines = ["snr_db,rank,trial_count,count_accuracy,mean_tsir_db"]
-    for snr_db, r, acc, mean in rows:
-        lines.append(f"{float(snr_db)!r},{r},{spec.trials},{float(acc)!r},{float(mean)!r}")
-    return "\n".join(lines) + "\n"
+    rows = [
+        (float(snr_db), r, spec.trials, float(acc), float(mean)) for snr_db, r, acc, mean in rows
+    ]
+    return csv_text("snr_db,rank,trial_count,count_accuracy,mean_tsir_db", rows)

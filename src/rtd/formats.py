@@ -1,4 +1,5 @@
-"""On-disk formats: dense tensors and reshuffle operators.
+"""On-disk formats: dense tensors, reshuffle operators, and the text framing
+shared by every text file and CSV that rtd writes.
 
 Tensors use a three-line text header followed by a little-endian float64
 payload in canonical row-major order:
@@ -17,6 +18,12 @@ ReshuffleOp, never raw permutations, one operator per line:
 ``read_ops`` returns ReshuffleOps and ``write_ops`` writes them.  Reading
 checks every line's element counts and seed range and builds no
 permutation: an operator builds its own on first use.
+
+Text files (operator files, stego keys) are a magic line followed by one
+record per line: ``write_lines`` ends every line with a newline, and
+``read_lines`` strips lines and skips blank ones.  ``csv_text`` renders
+every CSV rtd writes with one number format: booleans as 0/1, floats as
+their repr, so they read back bit for bit, and anything else as str.
 """
 
 import math
@@ -75,6 +82,45 @@ def read_tensor(path):
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
 
 
+def _text(lines):
+    return "\n".join(lines) + "\n"
+
+
+def _cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def csv_text(header, rows):
+    """CSV text: the header line, then one line per row of values."""
+    return _text([header, *(",".join(_cell(v) for v in row) for row in rows)])
+
+
+def write_lines(path, lines):
+    """Write ``lines`` as a text file, each ended by a newline."""
+    with open(path, "w") as fh:
+        fh.write(_text(lines))
+
+
+def read_lines(path, magic, error):
+    """The stripped, nonblank lines of text file ``path`` after its magic line.
+
+    A file that is not UTF-8 text, or whose first nonblank line is not
+    ``magic``, raises ``error``, the reading format's own RtdError.
+    """
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not text: {exc}") from None
+    if not lines or lines[0] != magic:
+        raise error(f"bad magic line in {path}: expected {magic!r}, got {lines[:1]}")
+    return lines[1:]
+
+
 def write_ops(ops, path):
     lines = [OPS_MAGIC]
     for op in ops:
@@ -83,20 +129,12 @@ def write_ops(ops, path):
             lines.append(f"identity {op.m} {op.n} {shape}")
         else:
             lines.append(f"seeded {op.m} {op.n} {op.seed} {shape}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_ops(path):
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise MalformedHeader(f"operator file {path} is not text: {exc}") from None
-    if not lines or lines[0] != OPS_MAGIC:
-        raise MalformedHeader(f"bad magic line in {path}")
     ops = []
-    for ln in lines[1:]:
+    for ln in read_lines(path, OPS_MAGIC, MalformedHeader):
         kind, *fields = ln.split()
         if kind not in ("identity", "seeded"):
             raise MalformedHeader(f"unknown operator kind {kind!r}")

@@ -17,8 +17,13 @@ MAXVALS = (255, 65535)
 
 
 @dataclass(frozen=True)
-class GrayImage:
-    pixels: np.ndarray  # (h, w) float64 in [0, 1]
+class _Image:
+    """Samples in [0, 1] and the maxval they are known to (None if exact).
+
+    Equality holds only between images of the same class.
+    """
+
+    pixels: np.ndarray
     maxval: int | None = None
 
     @property
@@ -29,27 +34,17 @@ class GrayImage:
     def width(self):
         return self.pixels.shape[1]
 
-    @property
-    def channels(self):
-        return 1
+
+class GrayImage(_Image):
+    """Grayscale image: pixels (h, w) float64 in [0, 1]."""
+
+    channels = 1
 
 
-@dataclass(frozen=True)
-class RgbImage:
-    pixels: np.ndarray  # (h, w, 3) float64 in [0, 1]
-    maxval: int | None = None
+class RgbImage(_Image):
+    """Color image: pixels (h, w, 3) float64 in [0, 1]."""
 
-    @property
-    def height(self):
-        return self.pixels.shape[0]
-
-    @property
-    def width(self):
-        return self.pixels.shape[1]
-
-    @property
-    def channels(self):
-        return 3
+    channels = 3
 
 
 def _read_tokens(data, count):

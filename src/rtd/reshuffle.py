@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadIndex, ShapeMismatch
-from .rng import random_permutation
+from .errors import ShapeMismatch
+from .rng import check_seed, random_permutation
 
 
 def _check_counts(m, n, dst_shape):
@@ -34,17 +34,6 @@ def _check_counts(m, n, dst_shape):
             f"element counts differ: {m}x{n} = {m * n} vs {dst_shape} = {math.prod(dst_shape)}"
         )
     return dst_shape
-
-
-def _check_seed(seed):
-    if seed is None:
-        return None
-    try:
-        if 0 <= operator.index(seed) < 1 << 64:
-            return operator.index(seed)
-    except TypeError:
-        pass
-    raise BadIndex(f"operator seed must be None or an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +58,7 @@ class ReshuffleOp:
 
     def __post_init__(self):
         object.__setattr__(self, "dst_shape", _check_counts(self.m, self.n, self.dst_shape))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed, "operator seed", optional=True))
 
     @property
     def size(self):
@@ -117,6 +106,20 @@ def reshuffle_identity(m, n, dst_shape):
 def reshuffle_from_seed(m, n, dst_shape, seed):
     """Uniformly random reshuffle, reproducible from (m, n, dst_shape, seed)."""
     return ReshuffleOp(m, n, dst_shape, seed)
+
+
+def observe(ops, matrices):
+    """The observation sum_i R_i(A_i): matrix ``matrices[i]`` relocated by
+    ``ops[i]``, summed in list order from zero.  The operators must share
+    one tensor shape."""
+    if not ops or len(ops) != len(matrices):
+        raise ShapeMismatch(f"{len(matrices)} matrices for {len(ops)} operators")
+    total = np.zeros(ops[0].dst_shape)
+    for op, A in zip(ops, matrices):
+        if op.dst_shape != total.shape:
+            raise ShapeMismatch(f"operators map into {total.shape} and {op.dst_shape}")
+        total += op.apply(A)
+    return total
 
 
 def cross_map(op_i, op_j):

@@ -7,7 +7,11 @@ is a pure function of the seed, which lets large batches be generated with
 vectorized NumPy arithmetic instead of a Python loop.
 """
 
+import operator
+
 import numpy as np
+
+from .errors import BadIndex
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -28,6 +32,23 @@ def derive_seed(seed, index):
     per channel, per grid cell, ...).
     """
     return mix64((seed + (index + 1) * GOLDEN) & _MASK)
+
+
+def check_seed(seed, name="seed", optional=False):
+    """``seed`` as a Python int, or BadIndex unless it is an integer in [0, 2**64).
+
+    The stream reduces seeds modulo 2**64, so a seed outside that range
+    would build the same draws as another one that compares unequal.  An
+    ``optional`` seed may also be None, which is returned as it is.
+    """
+    if optional and seed is None:
+        return None
+    try:
+        if 0 <= operator.index(seed) <= _MASK:
+            return operator.index(seed)
+    except TypeError:
+        pass
+    raise BadIndex(f"{name} must be {'None or ' * optional}an integer in [0, 2**64), got {seed!r}")
 
 
 def bulk_u64(seed, count, start=0):

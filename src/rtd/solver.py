@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import DivergenceDetected, NonFinite, ShapeMismatch
 from .linalg import WarmStart, binary_scaled, nuclear_norm, spectral_norm, svt_with_values
+from .formats import csv_text
+from .reshuffle import observe
 from .rng import derive_seed
 
 # Residual blowing up past this multiple of its starting value aborts the run.
@@ -182,11 +184,13 @@ def decompose(problem, config=None):
 
     comps = [np.ascontiguousarray(op.adjoint(X) / len(ops)) for op in ops]
     warm = [WarmStart.seeded(op.n, derive_seed(0, i)) for i, op in enumerate(ops)]
-    # The scaled copy of X becomes the running vector.
-    r = X.ravel()
+    # The scaled copy of X becomes the running vector.  The components are
+    # subtracted from it one at a time, not as X - observe(...): that order
+    # sets the rounding every later iterate inherits.
+    r = X
     y = np.zeros_like(r)
     for op, a in zip(ops, comps):
-        r -= a.ravel()[op.inv_perm]
+        r -= op.apply(a)
 
     residuals, objectives, kappas, duals = [], [], [], []
     converged = False
@@ -197,13 +201,11 @@ def decompose(problem, config=None):
         delta_sq = 0.0
         for i, op in enumerate(ops):
             a_old = comps[i]
-            pulled = r[op.perm] + a_old.ravel()
-            a_new, values = svt_with_values(pulled.reshape(op.m, op.n), 1.0 / kappa, warm[i])
+            a_new, values = svt_with_values(op.adjoint(r) + a_old, 1.0 / kappa, warm[i])
             objective += float(values.sum())
-            d = (a_new - a_old).ravel()
-            delta_sq += float(d @ d)
-            # r -= R(d), gathered through inv_perm: about 3x cheaper than scattering through perm.
-            r -= d[op.inv_perm]
+            d = a_new - a_old
+            delta_sq += float(np.vdot(d, d))
+            r -= op.apply(d)
             comps[i] = a_new
         diff = r - y / kappa
         y += GAMMA * kappa * diff
@@ -247,14 +249,9 @@ def decompose(problem, config=None):
 
 def primal_residual(problem, components):
     """||X - sum_i R_i(A_i)||_F / ||X||_F, or the plain norm when X is zero."""
-    X, ops = problem.X, problem.ops
-    if len(components) != len(ops):
-        raise ShapeMismatch(f"{len(components)} components for {len(ops)} operators")
-    total = np.zeros(X.shape)
-    for op, a in zip(ops, components):
-        total += op.apply(a)
-    norm_x = float(np.linalg.norm(X))
-    return float(np.linalg.norm(X - total)) / (norm_x if norm_x > 0.0 else 1.0)
+    residual = problem.X - observe(problem.ops, components)
+    norm_x = float(np.linalg.norm(problem.X))
+    return float(np.linalg.norm(residual)) / (norm_x if norm_x > 0.0 else 1.0)
 
 
 def objective(components):
@@ -264,11 +261,7 @@ def objective(components):
 
 def history_csv(result):
     """Per-iteration log as CSV: iteration, residual, objective, kappa, dual."""
-    lines = ["iteration,residual,objective,kappa,dual_residual"]
-    for k in range(result.iterations):
-        lines.append(
-            f"{k + 1},{float(result.residual_history[k])!r},"
-            f"{float(result.objective_history[k])!r},"
-            f"{float(result.kappa_history[k])!r},{float(result.dual_history[k])!r}"
-        )
-    return "\n".join(lines) + "\n"
+    histories = (result.residual_history, result.objective_history,
+                 result.kappa_history, result.dual_history)
+    rows = [(k + 1, *(float(h[k]) for h in histories)) for k in range(result.iterations)]
+    return csv_text("iteration,residual,objective,kappa,dual_residual", rows)

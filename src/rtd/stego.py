@@ -13,9 +13,10 @@ import numpy as np
 
 from .analysis import sir, tsir
 from .errors import DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMaxval
+from .formats import csv_text, read_lines, write_lines
 from .netpbm import GrayImage, RgbImage, quantize
 from .reshuffle import reshuffle_from_seed, reshuffle_identity
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .solver import Problem, SolverConfig, at_noise_floor, decompose
 
 MODES = ("float", "q8")
@@ -58,7 +59,7 @@ class StegoKey:
             )
         object.__setattr__(self, "cover_dims", (ch, cw))
         object.__setattr__(self, "secret_dims", (sh, sw))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "master_seed", check_seed(self.master_seed, "master seed"))
         object.__setattr__(self, "strength", float(self.strength))
 
     @cached_property
@@ -151,14 +152,7 @@ def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
 def metrics_csv(metrics):
     """reveal's metrics as "metric,value" lines: booleans as 0/1, floats as
     their repr."""
-    lines = ["metric,value"]
-    for name, value in metrics.items():
-        if isinstance(value, bool):
-            value = int(value)
-        elif isinstance(value, float) or hasattr(value, "item"):
-            value = repr(float(value))
-        lines.append(f"{name},{value}")
-    return "\n".join(lines) + "\n"
+    return csv_text("metric,value", metrics.items())
 
 
 def write_key(key, path):
@@ -170,20 +164,12 @@ def write_key(key, path):
         f"strength {key.strength!r}",
         f"mode {key.mode}",
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_key(path):
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise KeyMismatch(f"key file {path} is not text: {exc}") from None
-    if not lines or lines[0] != FORMAT_VERSION:
-        raise KeyMismatch(f"unsupported key file version: {lines[:1]}")
     fields = {}
-    for ln in lines[1:]:
+    for ln in read_lines(path, FORMAT_VERSION, KeyMismatch):
         name, _, rest = ln.partition(" ")
         fields[name] = rest.split()
     try:

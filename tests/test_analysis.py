@@ -170,6 +170,9 @@ def test_incoherence_validation():
         incoherence_lower_bound(np.eye(3), ops, 0)
     with pytest.raises(ValueError):
         incoherence_lower_bound(A, ops, 0, restarts=0)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(BadIndex):
+            incoherence_lower_bound(A, ops, 0, seed=seed)
 
 
 def test_estimate_component_count():

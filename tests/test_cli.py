@@ -478,6 +478,17 @@ def test_dropout_tiny(tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("subcommand", ["noise", "dropout"])
+def test_experiments_refuse_a_component_count_below_one(subcommand, tmp_path, capsys):
+    csv_path = tmp_path / "out.csv"
+    for count in ("0", "-2"):
+        assert main([subcommand, "--N", count, "--threads", "1", "--out-csv", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"rtd: N must be >= 1, got {count}" in err
+        assert "Traceback" not in err
+        assert not csv_path.exists()
+
+
 def _write_images(tmp_path, h=32, w=32):
     cover_path = tmp_path / "cover.pgm"
     secret_path = tmp_path / "secret.ppm"
@@ -594,6 +605,30 @@ def test_hide_refuses_a_non_finite_strength(strength, tmp_path, capsys):
     ]) == 2
     assert "rtd: strength must be finite and positive" in capsys.readouterr().err
     assert not container.exists() and not key.exists()
+
+
+def test_hide_and_reveal_refuse_a_seed_out_of_range(tmp_path, capsys):
+    cover_path, secret_path = _write_images(tmp_path)
+    container = tmp_path / "container.pgm"
+    key = tmp_path / "stego.key"
+    hide = [
+        "hide", "--cover", str(cover_path), "--secret", str(secret_path),
+        "--out", str(container), "--key", str(key),
+    ]
+    assert main([*hide, "--seed", "-1"]) == 2
+    assert "rtd: master seed must be an integer in [0, 2**64), got -1" in capsys.readouterr().err
+    assert not container.exists() and not key.exists()
+    assert main(hide) == 0
+    key.write_text(key.read_text().replace("seed 0\n", "seed -1\n"))
+    capsys.readouterr()
+    assert main([
+        "reveal", "--container", str(container), "--key", str(key),
+        "--out", str(tmp_path / "s.ppm"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "rtd: master seed must be an integer in [0, 2**64), got -1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "s.ppm").exists()
 
 
 @pytest.mark.parametrize("strength", ["nan", "inf"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rtd.experiments as experiments
-from rtd.errors import AllZeroSignal
+from rtd.errors import AllZeroSignal, BadIndex
 from rtd.experiments import (
     DropoutSpec,
     NoiseSweepSpec,
@@ -101,6 +101,10 @@ def test_phase_spec_validation_and_sorting():
         PhaseGridSpec("rank_vs_size", 2, ranks=(), axis=(10,))
     with pytest.raises(ValueError):
         PhaseGridSpec("rank_vs_size", 2, ranks=(1,), axis=(10,), trials=0)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(BadIndex):
+            PhaseGridSpec(seed=seed)
+    assert PhaseGridSpec(seed=(1 << 64) - 1).seed == (1 << 64) - 1
 
 
 def test_phase_grid_tiny():
@@ -188,6 +192,11 @@ def test_noise_spec_validation():
         NoiseSweepSpec(ranks=())
     with pytest.raises(ValueError):
         NoiseSweepSpec(trials=0)
+    for count in ({"n": 0}, {"N": 0}, {"N": -2}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            NoiseSweepSpec(**count)
+    with pytest.raises(BadIndex):
+        NoiseSweepSpec(seed=-1)
 
 
 def test_dropout_tiny_and_csv():
@@ -250,6 +259,11 @@ def test_pool_starts_no_more_workers_than_cells(monkeypatch):
 def test_dropout_spec_validation():
     with pytest.raises(ValueError):
         DropoutSpec(eta=0.0)
+    for count in ({"n": 0}, {"N": 0}, {"N": -2}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            DropoutSpec(**count)
+    with pytest.raises(BadIndex):
+        DropoutSpec(seed=1 << 64)
     with pytest.raises(ValueError):
         DropoutSpec(trials=0)
     with pytest.raises(ValueError):

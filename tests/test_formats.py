@@ -5,6 +5,7 @@ from rtd.errors import MalformedHeader, ShapeMismatch
 from rtd.formats import (
     OPS_MAGIC,
     TENSOR_MAGIC,
+    csv_text,
     read_ops,
     read_tensor,
     write_ops,
@@ -74,7 +75,6 @@ def test_ops_roundtrip(tmp_path):
 def test_read_ops_malformed(tmp_path):
     path = tmp_path / "ops.txt"
     for text in (
-        "rtd-ops v2\nidentity 2 2 4\n",
         "rtd-ops v1\n",
         "rtd-ops v1\nrotate 2 2 4\n",
         "rtd-ops v1\nidentity 2 x 4\n",
@@ -84,9 +84,17 @@ def test_read_ops_malformed(tmp_path):
         path.write_text(text)
         with pytest.raises(MalformedHeader):
             read_ops(path)
-    path.write_bytes(b"rtd-ops v1\nidentity 2 2 \xff\n")
-    with pytest.raises(MalformedHeader, match="not text"):
-        read_ops(path)
+    for text in ("rtd-ops v2\nidentity 2 2 4\n", "", " \n\n", "identity 2 2 4\nrtd-ops v1\n"):
+        path.write_text(text)
+        with pytest.raises(MalformedHeader, match="bad magic line"):
+            read_ops(path)
+    for blob in (b"rtd-ops v1\nidentity 2 2 \xff\n", b"\xff\xfe"):
+        path.write_bytes(blob)
+        with pytest.raises(MalformedHeader, match="not text"):
+            read_ops(path)
+    # Lines are stripped and blank lines skipped, the magic line included.
+    path.write_text("\n  rtd-ops v1\t\n\n identity 2 2 4 \n\n")
+    assert read_ops(path) == [ReshuffleOp(2, 2, (4,))]
 
 
 def test_read_ops_checks_element_counts(tmp_path):
@@ -99,3 +107,19 @@ def test_read_ops_checks_element_counts(tmp_path):
 def test_magics_exported():
     assert TENSOR_MAGIC == "rtd-tensor v1"
     assert OPS_MAGIC == "rtd-ops v1"
+
+
+def test_csv_text_renders_every_value_kind_one_way():
+    row = (
+        True, np.bool_(False), 3, np.int64(-4), np.float64(0.1), 1 / 3, 2.0, float("nan"),
+        "not falsified",
+    )
+    assert csv_text("a,b,c,d,e,f,g,h,i", [row, (False, np.float32(0.5))]) == (
+        "a,b,c,d,e,f,g,h,i\n"
+        "1,0,3,-4,0.1,0.3333333333333333,2.0,nan,not falsified\n"
+        "0,0.5\n"
+    )
+    assert csv_text("only", []) == "only\n"
+    # A float's repr reads back to the same bits.
+    value = float(np.nextafter(0.1, 1.0))
+    assert float(csv_text("v", [(value,)]).split("\n")[1]) == value

@@ -6,6 +6,7 @@ from rtd.errors import BadIndex, ShapeMismatch
 from rtd.reshuffle import (
     ReshuffleOp,
     cross_map,
+    observe,
     reshuffle_from_seed,
     reshuffle_identity,
 )
@@ -104,6 +105,23 @@ def test_shape_mismatch_errors():
         ReshuffleOp(2, 2, (4.7,))
     op = ReshuffleOp(np.int64(2), np.int32(2), (np.int64(4),))
     assert op.dst_shape == (4,) and type(op.dst_shape[0]) is int
+
+
+def test_observe_is_the_sum_of_applies_bit_for_bit():
+    ops = [
+        reshuffle_identity(3, 4, (2, 6)),
+        reshuffle_from_seed(3, 4, (2, 6), 5),
+        reshuffle_from_seed(4, 3, (2, 6), 6),
+    ]
+    # Magnitudes far apart, so a different summation order rounds differently.
+    mats = [gaussians(12, s).reshape(op.m, op.n) * 1e8**s for s, op in enumerate(ops)]
+    total = np.zeros((2, 6))
+    for op, A in zip(ops, mats):
+        total += op.apply(A)
+    assert observe(ops, mats).tobytes() == total.tobytes()
+    assert observe(ops[:1], mats[:1]).tobytes() == ops[0].apply(mats[0]).tobytes()
+    with pytest.raises(ShapeMismatch, match="operators map into"):
+        observe([ops[0], reshuffle_identity(3, 4, (12,))], mats[:2])
 
 
 def test_seed_must_be_a_64_bit_unsigned_integer():

@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rtd.errors import BadIndex
 from rtd.rng import (
     GOLDEN,
     bulk_u64,
+    check_seed,
     derive_seed,
     gaussians,
     mix64,
@@ -132,3 +134,14 @@ def test_gaussians_zero_count():
 
 def test_gaussians_seed_separation():
     assert not np.array_equal(gaussians(64, 1), gaussians(64, 2))
+
+
+def test_check_seed_accepts_exactly_the_64_bit_unsigned_integers():
+    for seed in (0, 7, MASK, np.uint64(MASK), np.int32(3), True):
+        assert check_seed(seed) == int(seed) and type(check_seed(seed)) is int
+    assert check_seed(None, optional=True) is None
+    for seed in (-1, MASK + 1, 1.0, "3", None):
+        with pytest.raises(BadIndex, match=r"master seed must be an integer in \[0, 2\*\*64\)"):
+            check_seed(seed, "master seed")
+    with pytest.raises(BadIndex, match="must be None or an integer"):
+        check_seed(-1, optional=True)

@@ -9,7 +9,7 @@ from rtd.analysis import tsir
 from rtd.errors import DivergenceDetected, NonFinite, ShapeMismatch
 from rtd.experiments import make_instance
 from rtd.linalg import random_semi_orthonormal_pair
-from rtd.reshuffle import reshuffle_from_seed, reshuffle_identity
+from rtd.reshuffle import observe, reshuffle_from_seed, reshuffle_identity
 from rtd.solver import (
     Problem,
     SolverConfig,
@@ -278,9 +278,14 @@ def test_running_sum_stays_exact_over_long_runs():
 
 
 def test_primal_residual_shape_check():
-    problem, _ = two_component_problem()
+    problem, comps = two_component_problem()
+    for wrong in ([np.zeros((12, 12))], [], [*comps, comps[0]]):
+        with pytest.raises(ShapeMismatch):
+            primal_residual(problem, wrong)
+        with pytest.raises(ShapeMismatch):
+            observe(problem.ops, wrong)
     with pytest.raises(ShapeMismatch):
-        primal_residual(problem, [np.zeros((12, 12))])
+        observe([], [])
 
 
 def test_objective_matches_history():

@@ -4,7 +4,7 @@ import pytest
 import rtd.reshuffle as reshuffle
 import rtd.stego as stego
 from rtd.analysis import tsir
-from rtd.errors import DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMaxval
+from rtd.errors import BadIndex, DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMaxval
 from rtd.netpbm import GrayImage, RgbImage
 from rtd.solver import SolverConfig
 from rtd.stego import (
@@ -149,6 +149,10 @@ def test_key_validation():
     with pytest.raises(KeyMismatch):
         StegoKey(0, (4, 4), (2, 8), 0.05, mode="hex")
     StegoKey(0, (4, 4), (2, 8), 0.05)
+    for seed in (-1, 1 << 64, 1.5):
+        with pytest.raises(BadIndex, match="master seed"):
+            StegoKey(seed, (4, 4), (4, 4), 0.05)
+    assert StegoKey(np.uint64((1 << 64) - 1), (4, 4), (4, 4), 0.05).master_seed == (1 << 64) - 1
 
 
 def test_reveal_rejects_mismatched_key():
@@ -177,9 +181,10 @@ def test_key_file_roundtrip(tmp_path):
 
 def test_read_key_rejects_garbage(tmp_path):
     path = tmp_path / "bad.key"
-    path.write_text("rtd-stego v2\nseed 1\n")
-    with pytest.raises(KeyMismatch):
-        read_key(path)
+    for text in ("rtd-stego v2\nseed 1\n", "", "\n \n"):
+        path.write_text(text)
+        with pytest.raises(KeyMismatch, match="bad magic line"):
+            read_key(path)
     path.write_text("rtd-stego v1\nseed 1\ncover 4 4\n")
     with pytest.raises(KeyMismatch):
         read_key(path)
@@ -192,6 +197,16 @@ def test_read_key_rejects_garbage(tmp_path):
     path.write_bytes(b"rtd-stego v1\nseed \xfe\n")
     with pytest.raises(KeyMismatch, match="not text"):
         read_key(path)
+    path.write_bytes(b"\xfe")
+    with pytest.raises(KeyMismatch, match="not text"):
+        read_key(path)
+    path.write_text("rtd-stego v1\nseed -1\ncover 4 4\nsecret 4 4\nstrength 0.1\nmode float\n")
+    with pytest.raises(BadIndex, match="master seed"):
+        read_key(path)
+    path.write_text(
+        "\n  rtd-stego v1 \n\nseed 1\n cover 4 4\nsecret 4 4\n\nstrength 0.1\nmode float"
+    )
+    assert read_key(path) == StegoKey(1, (4, 4), (4, 4), 0.1)
 
 
 def test_custom_config_passes_through():
