@@ -1,154 +1,26 @@
 """Convex tensor decomposition via reshuffling operators.
 
-Public surface: reshuffle construction and algebra, the nuclear-norm
-solver, recovery diagnostics, synthetic experiment drivers, and the
-image-steganography pipeline built on top.
+The package namespace holds only the entry points of the library quick
+start: build operators and an instance, observe it, decompose it, score the
+split, and hide or reveal an image.  Everything else stays in the module
+that defines it and is reached as ``rtd.<module>.<name>``: ``rtd.reshuffle``,
+``rtd.solver``, ``rtd.linalg``, ``rtd.analysis``, ``rtd.experiments``,
+``rtd.stego``, ``rtd.netpbm``, ``rtd.formats``, ``rtd.rng`` and
+``rtd.errors``.
 """
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    IncoherenceEstimate,
-    TangentBasisInfo,
-    certificate_csv,
-    certificate_threshold,
-    estimate_component_count,
-    exact_recovery_certificate,
-    incoherence_lower_bound,
-    recovery_bound_min_n,
-    sir,
-    tangent_basis,
-    tangent_project,
-    tsir,
-)
-from .errors import (
-    AllZeroSignal,
-    BadIndex,
-    BadRank,
-    DegenerateRank,
-    DimMismatch,
-    DivergenceDetected,
-    KeyMismatch,
-    MalformedHeader,
-    NonFinite,
-    RtdError,
-    ShapeMismatch,
-    StrengthOutOfRange,
-    UnsupportedMaxval,
-)
-from .experiments import (
-    DropoutSpec,
-    NoiseSweepSpec,
-    PhaseGrid,
-    PhaseGridSpec,
-    add_gaussian_noise,
-    dropout_csv,
-    make_instance,
-    noise_csv,
-    noise_sigma,
-    phase_csv,
-    render_heatmap,
-    run_dropout_experiment,
-    run_noise_sweep,
-    run_phase_grid,
-)
-from .formats import read_ops, read_tensor, write_ops, write_tensor
-from .linalg import (
-    SvdFactors,
-    nuclear_norm,
-    random_semi_orthonormal_pair,
-    spectral_norm,
-    svd_full,
-    svt,
-)
-from .netpbm import GrayImage, RgbImage, read_image, write_image
-from .reshuffle import (
-    ReshuffleOp,
-    cross_map,
-    observe,
-    reshuffle_from_seed,
-    reshuffle_identity,
-)
-from .solver import (
-    Problem,
-    SolverConfig,
-    SolverResult,
-    decompose,
-    history_csv,
-    objective,
-    primal_residual,
-)
-from .stego import StegoKey, conceal, read_key, reveal, write_key
+from .analysis import tsir
+from .errors import RtdError
+from .experiments import make_instance
+from .linalg import random_semi_orthonormal_pair
+from .reshuffle import ReshuffleOp, observe, reshuffle_from_seed
+from .solver import Problem, SolverConfig, decompose
+from .stego import conceal, reveal
 
 __all__ = [
-    "AllZeroSignal",
-    "BadIndex",
-    "BadRank",
-    "DegenerateRank",
-    "DimMismatch",
-    "DivergenceDetected",
-    "DropoutSpec",
-    "GrayImage",
-    "IncoherenceEstimate",
-    "KeyMismatch",
-    "MalformedHeader",
-    "NoiseSweepSpec",
-    "NonFinite",
-    "PhaseGrid",
-    "PhaseGridSpec",
-    "Problem",
-    "ReshuffleOp",
-    "RgbImage",
-    "RtdError",
-    "ShapeMismatch",
-    "SolverConfig",
-    "SolverResult",
-    "StegoKey",
-    "StrengthOutOfRange",
-    "SvdFactors",
-    "TangentBasisInfo",
-    "UnsupportedMaxval",
-    "add_gaussian_noise",
-    "certificate_csv",
-    "certificate_threshold",
-    "conceal",
-    "cross_map",
-    "decompose",
-    "dropout_csv",
-    "estimate_component_count",
-    "exact_recovery_certificate",
-    "history_csv",
-    "incoherence_lower_bound",
-    "make_instance",
-    "noise_csv",
-    "noise_sigma",
-    "nuclear_norm",
-    "objective",
-    "observe",
-    "phase_csv",
-    "primal_residual",
-    "random_semi_orthonormal_pair",
-    "read_image",
-    "read_key",
-    "read_ops",
-    "read_tensor",
-    "recovery_bound_min_n",
-    "render_heatmap",
-    "reshuffle_from_seed",
-    "reshuffle_identity",
-    "reveal",
-    "run_dropout_experiment",
-    "run_noise_sweep",
-    "run_phase_grid",
-    "sir",
-    "spectral_norm",
-    "svd_full",
-    "svt",
-    "tangent_basis",
-    "tangent_project",
-    "tsir",
-    "write_image",
-    "write_key",
-    "write_ops",
-    "write_tensor",
+    "Problem", "ReshuffleOp", "RtdError", "SolverConfig", "conceal", "decompose",
+    "make_instance", "observe", "random_semi_orthonormal_pair", "reshuffle_from_seed",
+    "reveal", "tsir",
 ]

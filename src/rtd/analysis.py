@@ -92,10 +92,6 @@ class TangentBasisInfo:
     U: np.ndarray
     V: np.ndarray
 
-    @property
-    def rank(self):
-        return self.U.shape[1]
-
 
 def tangent_basis(A):
     """Truncated SVD factors of A at its numerical rank."""

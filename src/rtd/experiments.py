@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import estimate_component_count, recovery_bound_min_n, tsir
-from .errors import AllZeroSignal
+from .errors import AllZeroSignal, BadRank
 from .linalg import binary_scaled, random_semi_orthonormal_pair
 from .formats import csv_text
-from .reshuffle import observe, reshuffle_from_seed
+from .reshuffle import check_ints, observe, reshuffle_from_seed
 from .rng import bulk_u64, check_seed, derive_seed, gaussians
 from .solver import Problem, SolverConfig, at_noise_floor, decompose
 
@@ -59,17 +59,27 @@ def add_gaussian_noise(X, snr_db, seed):
     return X + sigma * gaussians(X.size, seed).reshape(X.shape)
 
 
-def _check_spec(spec, lists, counts):
-    """Checks shared by the experiment specs: the named value lists are
-    nonempty, the named counts (trials per cell, sizes, component counts)
-    are integers >= 1, and the seed is in range for the stream."""
+def _check_spec(spec, lists, counts, max_rank=math.inf):
+    """Checks shared by the experiment specs, made at construction so that a
+    bad value fails before any cell is solved: the named value lists are
+    nonempty; the named counts (trials per cell, sizes, component counts)
+    are integers >= 1; every rank is an integer in [1, max_rank], or
+    BadRank; every SNR is finite; and the seed is in range for the stream.  Integers follow the ``operator.index`` rule of
+    ``reshuffle.check_ints`` and are stored as Python ints."""
     for name in lists:
         if not getattr(spec, name):
             raise ValueError(f"{name} must be nonempty")
-    for name in counts:
-        if int(getattr(spec, name)) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(spec, name)}")
-        object.__setattr__(spec, name, int(getattr(spec, name)))
+    values = check_ints([getattr(spec, name) for name in counts], ValueError, ", ".join(counts))
+    for name, value in zip(counts, values):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+        object.__setattr__(spec, name, value)
+    ranks = check_ints(spec.ranks, BadRank, "ranks")
+    if not 1 <= min(ranks) <= max(ranks) <= max_rank:
+        raise BadRank(f"ranks must be in [1, {max_rank}], got {ranks}")
+    object.__setattr__(spec, "ranks", ranks)
+    if "snrs_db" in lists and not all(math.isfinite(float(s)) for s in spec.snrs_db):
+        raise ValueError(f"snrs_db must be finite, got {spec.snrs_db}")
     object.__setattr__(spec, "seed", check_seed(spec.seed))
 
 
@@ -116,8 +126,11 @@ class PhaseGridSpec:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         _check_spec(self, ("ranks", "axis"), ("fixed", "trials"))
-        object.__setattr__(self, "ranks", tuple(sorted(int(r) for r in self.ranks)))
-        object.__setattr__(self, "axis", tuple(sorted(int(a) for a in self.axis)))
+        axis = check_ints(self.axis, ValueError, "axis")
+        if min(axis) < 1:
+            raise ValueError(f"axis values must be >= 1, got {axis}")
+        object.__setattr__(self, "ranks", tuple(sorted(self.ranks)))
+        object.__setattr__(self, "axis", tuple(sorted(axis)))
 
     def cell_params(self, row, col):
         """(n, r, N) for the cell at ranks[row], axis[col]."""
@@ -220,7 +233,7 @@ class NoiseSweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_spec(self, ("ranks", "snrs_db"), ("n", "N", "trials"))
+        _check_spec(self, ("ranks", "snrs_db"), ("n", "N", "trials"), self.n)
 
 
 # The noisy solves stop one decade below the noise floor: stopping exactly
@@ -274,7 +287,7 @@ class DropoutSpec:
     eta: float = 0.1
 
     def __post_init__(self):
-        _check_spec(self, ("ranks", "snrs_db"), ("n", "N", "trials"))
+        _check_spec(self, ("ranks", "snrs_db"), ("n", "N", "trials"), self.n)
         if not float(self.eta) > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
 

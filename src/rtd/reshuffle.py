@@ -17,14 +17,19 @@ from .errors import ShapeMismatch
 from .rng import check_seed, random_permutation
 
 
-def _check_counts(m, n, dst_shape):
+def check_ints(values, error, name):
+    """``values`` as a tuple of Python ints, or ``error`` unless each is an
+    integer.  The rule is ``operator.index``: NumPy integers pass, and a
+    float is refused rather than truncated."""
     try:
-        m, n = operator.index(m), operator.index(n)
-        dst_shape = tuple(operator.index(e) for e in dst_shape)
+        return tuple(operator.index(v) for v in values)
     except TypeError:
-        raise ShapeMismatch(
-            f"extents must be integers, got {m!r}x{n!r} and {dst_shape!r}"
-        ) from None
+        raise error(f"{name} must be integers, got {values!r}") from None
+
+
+def _check_counts(m, n, dst_shape):
+    m, n = check_ints((m, n), ShapeMismatch, "matrix extents")
+    dst_shape = check_ints(dst_shape, ShapeMismatch, "tensor extents")
     if m < 1 or n < 1:
         raise ShapeMismatch(f"matrix extents must be >= 1, got {m}x{n}")
     if len(dst_shape) < 1 or any(e < 1 for e in dst_shape):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceDetected, NonFinite, ShapeMismatch
-from .linalg import WarmStart, binary_scaled, nuclear_norm, spectral_norm, svt_with_values
+from .linalg import WarmStart, binary_scaled, spectral_norm, svt_with_values
 from .formats import csv_text
 from .reshuffle import observe
 from .rng import derive_seed
@@ -252,11 +252,6 @@ def primal_residual(problem, components):
     residual = problem.X - observe(problem.ops, components)
     norm_x = float(np.linalg.norm(problem.X))
     return float(np.linalg.norm(residual)) / (norm_x if norm_x > 0.0 else 1.0)
-
-
-def objective(components):
-    """Sum of nuclear norms of the components."""
-    return float(sum(nuclear_norm(a) for a in components))
 
 
 def history_csv(result):

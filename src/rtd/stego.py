@@ -15,7 +15,7 @@ from .analysis import sir, tsir
 from .errors import DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMaxval
 from .formats import csv_text, read_lines, write_lines
 from .netpbm import GrayImage, RgbImage, quantize
-from .reshuffle import reshuffle_from_seed, reshuffle_identity
+from .reshuffle import check_ints, reshuffle_from_seed, reshuffle_identity
 from .rng import check_seed, derive_seed
 from .solver import Problem, SolverConfig, at_noise_floor, decompose
 
@@ -49,8 +49,8 @@ class StegoKey:
             raise StrengthOutOfRange(f"strength must be finite and positive, got {self.strength}")
         if self.mode not in MODES:
             raise KeyMismatch(f"mode must be one of {MODES}, got {self.mode!r}")
-        ch, cw = (int(d) for d in self.cover_dims)
-        sh, sw = (int(d) for d in self.secret_dims)
+        ch, cw = check_ints(self.cover_dims, DimMismatch, "cover dimensions")
+        sh, sw = check_ints(self.secret_dims, DimMismatch, "secret dimensions")
         if min(ch, cw, sh, sw) < 1:
             raise DimMismatch(f"dimensions must be >= 1, got {self.cover_dims}, {self.secret_dims}")
         if ch * cw != sh * sw:

@@ -96,7 +96,7 @@ def test_exact_recovery_certificate():
 def test_tangent_basis_orthonormal():
     U, V = random_semi_orthonormal_pair(8, 3, 2)
     T = tangent_basis(U @ V.T)
-    assert T.rank == 3
+    assert T.U.shape[1] == 3
     assert np.allclose(T.U.T @ T.U, np.eye(3), atol=1e-10)
     assert np.allclose(T.V.T @ T.V, np.eye(3), atol=1e-10)
     with pytest.raises(DegenerateRank):

@@ -489,6 +489,22 @@ def test_experiments_refuse_a_component_count_below_one(subcommand, tmp_path, ca
         assert not csv_path.exists()
 
 
+def test_noise_refuses_a_bad_rank_before_it_solves(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a cell before checking every rank")
+
+    monkeypatch.setattr("rtd.experiments.decompose", no_solve)
+    csv_path = tmp_path / "noise.csv"
+    assert main([
+        "noise", "--n", "60", "--N", "3", "--ranks", "1,0", "--snrs", "30",
+        "--trials", "2", "--threads", "1", "--out-csv", str(csv_path),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "rtd: ranks must be in [1, 60], got (1, 0)" in err
+    assert "Traceback" not in err
+    assert not csv_path.exists()
+
+
 def _write_images(tmp_path, h=32, w=32):
     cover_path = tmp_path / "cover.pgm"
     secret_path = tmp_path / "secret.ppm"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rtd.experiments as experiments
-from rtd.errors import AllZeroSignal, BadIndex
+from rtd.errors import AllZeroSignal, BadIndex, BadRank
 from rtd.experiments import (
     DropoutSpec,
     NoiseSweepSpec,
@@ -105,6 +105,20 @@ def test_phase_spec_validation_and_sorting():
         with pytest.raises(BadIndex):
             PhaseGridSpec(seed=seed)
     assert PhaseGridSpec(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+    for ranks in ((0,), (2, -1)):
+        with pytest.raises(BadRank, match="ranks must be in"):
+            PhaseGridSpec(ranks=ranks)
+    with pytest.raises(BadRank, match="integers"):
+        PhaseGridSpec(ranks=(1.9,))
+    with pytest.raises(ValueError, match="axis values must be >= 1"):
+        PhaseGridSpec("rank_vs_count", 20, ranks=(1,), axis=(2, 0))
+    for floats in ({"fixed": 2.5}, {"trials": 3.0}, {"axis": (20.5,)}):
+        with pytest.raises(ValueError, match="integers"):
+            PhaseGridSpec(**floats)
+    spec = PhaseGridSpec(fixed=np.int64(2), ranks=(np.int32(3), 1), axis=[np.int64(30)])
+    assert (spec.fixed, spec.ranks, spec.axis) == (2, (1, 3), (30,))
+    assert all(type(v) is int for v in (spec.fixed, *spec.ranks, *spec.axis))
+    assert PhaseGridSpec(ranks=(9,), axis=(5,)).ranks == (9,)  # r > n: an invalid cell
 
 
 def test_phase_grid_tiny():
@@ -197,6 +211,19 @@ def test_noise_spec_validation():
             NoiseSweepSpec(**count)
     with pytest.raises(BadIndex):
         NoiseSweepSpec(seed=-1)
+    for ranks in ((1, 0), (-1,), (61,)):
+        with pytest.raises(BadRank, match="ranks must be in"):
+            NoiseSweepSpec(n=60, ranks=ranks)
+    with pytest.raises(BadRank, match="integers"):
+        NoiseSweepSpec(ranks=(1.5,))
+    for snrs in ((30, float("nan")), (np.inf,), (-np.inf,)):
+        with pytest.raises(ValueError, match="snrs_db must be finite"):
+            NoiseSweepSpec(snrs_db=snrs)
+    for floats in ({"n": 60.5}, {"N": 3.0}, {"trials": 2.5}):
+        with pytest.raises(ValueError, match="integers"):
+            NoiseSweepSpec(**floats)
+    spec = NoiseSweepSpec(n=np.int64(60), ranks=[np.int64(60), 2])
+    assert spec.ranks == (60, 2) and type(spec.n) is int
 
 
 def test_dropout_tiny_and_csv():
@@ -268,3 +295,12 @@ def test_dropout_spec_validation():
         DropoutSpec(trials=0)
     with pytest.raises(ValueError):
         DropoutSpec(ranks=())
+    for ranks in ((0,), (1, 21)):
+        with pytest.raises(BadRank, match="ranks must be in"):
+            DropoutSpec(n=20, ranks=ranks)
+    with pytest.raises(BadRank, match="integers"):
+        DropoutSpec(ranks=(2.0,))
+    with pytest.raises(ValueError, match="snrs_db must be finite"):
+        DropoutSpec(snrs_db=(np.nan,))
+    with pytest.raises(ValueError, match="integers"):
+        DropoutSpec(n=20.5)

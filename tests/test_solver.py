@@ -17,7 +17,6 @@ from rtd.solver import (
     decompose,
     default_kappa0,
     history_csv,
-    objective,
     primal_residual,
 )
 
@@ -291,7 +290,8 @@ def test_primal_residual_shape_check():
 def test_objective_matches_history():
     problem, _ = two_component_problem(seed=5)
     result = decompose(problem)
-    assert objective(result.components) == pytest.approx(
+    total = sum(linalg_mod.nuclear_norm(a) for a in result.components)
+    assert total == pytest.approx(
         result.objective_history[-1], rel=1e-8
     )
 

@@ -146,6 +146,12 @@ def test_key_validation():
         StegoKey(0, (4, 4), (4, 5), 0.05)
     with pytest.raises(DimMismatch):
         StegoKey(0, (0, 4), (2, 2), 0.05)
+    with pytest.raises(DimMismatch, match="cover dimensions must be integers"):
+        StegoKey(0, (2.5, 4), (4, 2.9), 0.1)  # int() would make this a 2x4 and a 4x2
+    with pytest.raises(DimMismatch, match="secret dimensions must be integers"):
+        StegoKey(0, (4, 4), (4.0, 4), 0.1)
+    key = StegoKey(0, (np.int64(4), np.int32(4)), (2, np.uint8(8)), 0.05)
+    assert key.cover_dims == (4, 4) and type(key.secret_dims[1]) is int
     with pytest.raises(KeyMismatch):
         StegoKey(0, (4, 4), (2, 8), 0.05, mode="hex")
     StegoKey(0, (4, 4), (2, 8), 0.05)
