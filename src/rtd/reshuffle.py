@@ -51,9 +51,10 @@ class ReshuffleOp:
     at construction: the extents must be integers and the seed None or in
     range.  The permutations are built on first use, so an operator that is
     never applied allocates nothing.  ``perm`` maps matrix linear index k to
-    tensor linear index perm[k] (both row-major); ``inv_perm`` is its
-    inverse.  Both directions are kept so apply and adjoint are each a
-    single gather pass.
+    tensor linear index perm[k] (both row-major), and it is the one
+    permutation the operator stores: apply scatters through it and adjoint
+    gathers through it.  ``inv_perm``, its inverse, is built afresh on each
+    read.
     """
 
     m: int
@@ -75,7 +76,7 @@ class ReshuffleOp:
             return _freeze(np.arange(self.size, dtype=np.intp))
         return _freeze(random_permutation(self.size, self.seed))
 
-    @cached_property
+    @property
     def inv_perm(self):
         if self.seed is None:
             return self.perm
@@ -88,7 +89,9 @@ class ReshuffleOp:
         A = np.asarray(A)
         if A.shape != (self.m, self.n):
             raise ShapeMismatch(f"expected {self.m}x{self.n} matrix, got {A.shape}")
-        return A.ravel()[self.inv_perm].reshape(self.dst_shape)
+        out = np.empty(self.size, dtype=A.dtype)
+        out[self.perm] = A.ravel()
+        return out.reshape(self.dst_shape)
 
     def adjoint(self, Y):
         """Inverse relocation: pull tensor ``Y`` back to an m x n matrix."""
@@ -131,7 +134,9 @@ def cross_map(op_i, op_j):
     """Entry permutation realizing adjoint(op_j) o apply(op_i).
 
     Entry k of the source matrix lands at entry cross[k] of the destination
-    matrix, i.e. cross = inv_perm_j o perm_i.
+    matrix, i.e. cross = inv_perm_j o perm_i.  Read the other way round, it
+    is a gather: M.ravel()[cross_map(op_j, op_i)] is the flattened
+    adjoint(op_j)(apply(op_i)(M)).
     """
     if op_i.size != op_j.size:
         raise ShapeMismatch(

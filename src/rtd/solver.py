@@ -9,11 +9,14 @@ the penalty weight kappa by the factor RHO.  The penalty schedule belongs to
 the solver: kappa starts at default_kappa0 and grows by RHO, the dual step
 is GAMMA times kappa, and only the stopping parameters are configurable.
 The sweep carries one running vector, the scaled residual
-X - sum_i R_i(A_i) + Y/kappa, and a kappa that overflows float64 raises
-NonFinite.  The multiplier Y starts at zero, the usual ADMM start.  Each
-component's threshold is a partial SVD warm-started from the right singular
-subspace it kept in the previous sweep (``rtd.linalg.WarmStart``), and in
-the first sweep from a Gaussian block seeded by the component's index.
+X - sum_i R_i(A_i) + Y/kappa, in the matrix layout of the component being
+updated: one gather moves it on to the next component's layout, N gathers
+per sweep, and Y lives in component 0's layout.  A kappa that overflows
+float64 raises NonFinite.  The multiplier Y starts at zero, the usual ADMM
+start.  Each component's threshold is a partial SVD warm-started from the
+right singular subspace it kept in the previous sweep
+(``rtd.linalg.WarmStart``), and in the first sweep from a Gaussian block
+seeded by the component's index.
 """
 
 import dataclasses
@@ -26,7 +29,7 @@ import numpy as np
 from .errors import DivergenceDetected, NonFinite, ShapeMismatch
 from .linalg import WarmStart, binary_scaled, spectral_norm, svt_with_values
 from .formats import csv_text
-from .reshuffle import observe
+from .reshuffle import cross_map, observe
 from .rng import derive_seed
 
 # Residual blowing up past this multiple of its starting value aborts the run.
@@ -154,10 +157,13 @@ def decompose(problem, config=None):
     then Y += GAMMA * kappa * (X - sum_i R_i(A_i)) and kappa grows by the
     factor RHO.
     The sweep carries one running vector r = X - sum_i R_i(A_i) + Y/kappa
-    (the scaled dual form of ADMM), so a component's pullback is
-    adjoint_i(r) + A_i and its update subtracts R_i(new A_i - old A_i);
-    kappa is a running product.  The scheme runs on X * 2**-e, with e the
-    binary exponent of max|X|: the power-of-two scale is exact, so the
+    (the scaled dual form of ADMM) in the matrix layout of the component
+    being updated, so a component's pullback is r + A_i and its update
+    subtracts new A_i - old A_i in place; one gather through
+    reshuffle.cross_map then moves r into the next component's layout,
+    N gathers per sweep.  Y is kept in component 0's layout, where the sweep
+    ends; kappa is a running product.  The scheme runs on X * 2**-e, with e
+    the binary exponent of max|X|: the power-of-two scale is exact, so the
     components come back exactly c times as large for X scaled by any
     power of two c, and no norm over- or underflows at extreme magnitudes.
     Stops when the primal residual relative to ||X||_F (absolute for a zero
@@ -188,9 +194,14 @@ def decompose(problem, config=None):
     # subtracted from it one at a time, not as X - observe(...): that order
     # sets the rounding every later iterate inherits.
     r = X
-    y = np.zeros_like(r)
     for op, a in zip(ops, comps):
         r -= op.apply(a)
+    # From here r and y are flat, in a component's matrix layout: steps[i]
+    # gathers component i's layout into the next one's, and the last step
+    # wraps round to component 0, where each sweep starts and ends.
+    steps = [cross_map(ops[(i + 1) % len(ops)], op) for i, op in enumerate(ops)]
+    r = ops[0].adjoint(r).ravel()
+    y = np.zeros_like(r)
 
     residuals, objectives, kappas, duals = [], [], [], []
     converged = False
@@ -201,11 +212,12 @@ def decompose(problem, config=None):
         delta_sq = 0.0
         for i, op in enumerate(ops):
             a_old = comps[i]
-            a_new, values = svt_with_values(op.adjoint(r) + a_old, 1.0 / kappa, warm[i])
+            a_new, values = svt_with_values(r.reshape(op.m, op.n) + a_old, 1.0 / kappa, warm[i])
             objective += float(values.sum())
             d = a_new - a_old
             delta_sq += float(np.vdot(d, d))
-            r -= op.apply(d)
+            r -= d.ravel()
+            r = r[steps[i]]
             comps[i] = a_new
         diff = r - y / kappa
         y += GAMMA * kappa * diff

@@ -49,8 +49,12 @@ class StegoKey:
             raise StrengthOutOfRange(f"strength must be finite and positive, got {self.strength}")
         if self.mode not in MODES:
             raise KeyMismatch(f"mode must be one of {MODES}, got {self.mode!r}")
-        ch, cw = check_ints(self.cover_dims, DimMismatch, "cover dimensions")
-        sh, sw = check_ints(self.secret_dims, DimMismatch, "secret dimensions")
+        cover = check_ints(self.cover_dims, DimMismatch, "cover dimensions")
+        secret = check_ints(self.secret_dims, DimMismatch, "secret dimensions")
+        for name, dims in (("cover", cover), ("secret", secret)):
+            if len(dims) != 2:
+                raise DimMismatch(f"{name} dimensions must have 2 entries, got {dims}")
+        (ch, cw), (sh, sw) = cover, secret
         if min(ch, cw, sh, sw) < 1:
             raise DimMismatch(f"dimensions must be >= 1, got {self.cover_dims}, {self.secret_dims}")
         if ch * cw != sh * sw:

@@ -11,7 +11,7 @@ from rtd.reshuffle import (
     reshuffle_identity,
 )
 from rtd.rng import gaussians, random_permutation
-from rtd.solver import Problem
+from rtd.solver import Problem, SolverConfig, decompose
 
 
 def test_identity_perm_values():
@@ -175,6 +175,46 @@ def test_cross_map_agrees_with_two_path():
     scattered = np.empty(24)
     scattered[cross] = A.ravel()
     assert np.array_equal(scattered.reshape(3, 8), via_ops)
+
+
+def test_cross_map_gathers_one_layout_into_another():
+    # The solver's relayout step: a gather through cross_map(op_j, op_i)
+    # takes a matrix in op_i's layout to op_j's, across matrix shapes.
+    ops = [
+        reshuffle_from_seed(4, 6, (2, 3, 4), 1),
+        reshuffle_from_seed(3, 8, (2, 3, 4), 2),
+        reshuffle_identity(4, 6, (2, 3, 4)),
+    ]
+    for op_i in ops:
+        M = gaussians(24, 5).reshape(op_i.m, op_i.n)
+        for op_j in ops:
+            want = op_j.adjoint(op_i.apply(M)).ravel()
+            assert np.array_equal(M.ravel()[cross_map(op_j, op_i)], want)
+
+
+def test_apply_scatter_matches_the_inverse_gather_bit_for_bit():
+    for op in (reshuffle_from_seed(4, 6, (3, 8), 9), reshuffle_identity(4, 6, (24,))):
+        floats = gaussians(24, 3)
+        floats[:3] = (-0.0, np.nan, np.inf)
+        ints = np.arange(-12, 12, dtype=np.int64)
+        for values in (floats, ints):
+            A = values.reshape(4, 6)
+            out = op.apply(A)
+            assert out.dtype == A.dtype and out.shape == op.dst_shape
+            assert out.tobytes() == A.ravel()[op.inv_perm].tobytes()
+
+
+def test_an_operator_stores_one_permutation():
+    op = reshuffle_from_seed(6, 6, (36,), 8)
+    other = reshuffle_from_seed(4, 9, (36,), 9)
+    A = gaussians(36, 4).reshape(6, 6)
+    X = observe([op, other], [A, gaussians(36, 5).reshape(4, 9)])
+    op.adjoint(X)
+    decompose(Problem(X, [op, other]), SolverConfig(max_iter=3))
+    assert [k for k, v in vars(op).items() if isinstance(v, np.ndarray)] == ["perm"]
+    first, second = op.inv_perm, op.inv_perm
+    assert np.array_equal(first, second) and first is not second
+    assert not first.flags.writeable and not second.flags.writeable
 
 
 def test_cross_map_size_mismatch():

@@ -10,6 +10,7 @@ from rtd.errors import DivergenceDetected, NonFinite, ShapeMismatch
 from rtd.experiments import make_instance
 from rtd.linalg import random_semi_orthonormal_pair
 from rtd.reshuffle import observe, reshuffle_from_seed, reshuffle_identity
+from rtd.rng import gaussians
 from rtd.solver import (
     Problem,
     SolverConfig,
@@ -116,28 +117,46 @@ def _reference_decompose(problem, iterations):
     vector or its power-of-two scaling: a fresh sum of the other components
     per update, a full-SVD threshold, kappa = kappa0 * RHO**(k - 1) and the
     dual step GAMMA * kappa."""
-    x, ops = problem.X.ravel(), problem.ops
+    x, ops = problem.X, problem.ops
     kappa0, rho, gamma = default_kappa0(problem), solver_mod.RHO, solver_mod.GAMMA
     y = np.zeros_like(x)
-    comps = [op.adjoint(problem.X) / len(ops) for op in ops]
+    comps = [op.adjoint(x) / len(ops) for op in ops]
     residuals = []
     for k in range(1, iterations + 1):
         kappa = kappa0 * rho ** (k - 1)
         for i, op in enumerate(ops):
-            others = sum(ops[j].apply(comps[j]).ravel() for j in range(len(ops)) if j != i)
+            others = sum(ops[j].apply(comps[j]) for j in range(len(ops)) if j != i)
             U, sv, Vt = np.linalg.svd(op.adjoint(x - others + y / kappa), full_matrices=False)
             comps[i] = (U * np.maximum(sv - 1.0 / kappa, 0.0)) @ Vt
-        diff = x - sum(op.apply(a).ravel() for op, a in zip(ops, comps))
+        diff = x - observe(ops, comps)
         y = y + gamma * kappa * diff
         residuals.append(np.linalg.norm(diff) / np.linalg.norm(x))
     return comps, residuals
 
 
-@pytest.mark.parametrize("n", [12, 16])
-def test_running_vector_matches_the_plain_update(n, monkeypatch):
-    # Every threshold is a full SVD, as in the reference.
+def mixed_shape_problem(count):
+    """An identity 12x12 operator, then seeded 8x18 and 24x6 ones, into a
+    12x12 tensor: the first ``count`` of them, each with a rank-1 component."""
+    ops = [
+        reshuffle_identity(12, 12, (12, 12)),
+        reshuffle_from_seed(8, 18, (12, 12), 21),
+        reshuffle_from_seed(24, 6, (12, 12), 22),
+    ][:count]
+    comps = [np.outer(gaussians(op.m, 30 + i), gaussians(op.n, 40 + i)) for i, op in enumerate(ops)]
+    return Problem(observe(ops, comps), ops)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [two_component_problem(n=12)[0], two_component_problem(n=16)[0],
+     *(mixed_shape_problem(count) for count in (1, 2, 3))],
+    ids=["12", "16", "mixed-N1", "mixed-N2", "mixed-N3"],
+)
+def test_running_vector_matches_the_plain_update(problem, monkeypatch):
+    # Every threshold is a full SVD, as in the reference.  The mixed-shape
+    # problems carry the running vector through layouts of other shapes
+    # than the tensor's, and at N = 1 through the wrap-around step alone.
     monkeypatch.setattr(linalg_mod, "_partial_svd", lambda M, alpha, V: None)
-    problem, _ = two_component_problem(n=n)
     config = SolverConfig(max_iter=200, tol=1e-30)
     result = decompose(problem, config)
     assert result.iterations == 200

@@ -119,6 +119,15 @@ def test_one_key_builds_its_permutations_once(monkeypatch):
     assert calls == [256] * 3
 
 
+def test_a_key_holds_one_permutation_per_channel():
+    cover, secret = small_pair()
+    container, key = conceal(cover, secret, strength=0.05)
+    reveal(container, key, config=SolverConfig(max_iter=3))
+    arrays = [v for op in key.channel_ops for v in vars(op).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 3
+    assert all(a.dtype == np.intp and a.shape == (32 * 32,) for a in arrays)
+
+
 def test_wrong_seed_reveals_noise():
     cover, secret = small_pair(seed=8)
     container, key = conceal(cover, secret, strength=0.05, master_seed=21)
@@ -150,6 +159,9 @@ def test_key_validation():
         StegoKey(0, (2.5, 4), (4, 2.9), 0.1)  # int() would make this a 2x4 and a 4x2
     with pytest.raises(DimMismatch, match="secret dimensions must be integers"):
         StegoKey(0, (4, 4), (4.0, 4), 0.1)
+    for cover_dims, secret_dims in (((4, 4, 1), (4, 4)), ((4, 4), (16,)), ((4, 4), ())):
+        with pytest.raises(DimMismatch, match="must have 2 entries"):
+            StegoKey(1, cover_dims, secret_dims, 0.05)
     key = StegoKey(0, (np.int64(4), np.int32(4)), (2, np.uint8(8)), 0.05)
     assert key.cover_dims == (4, 4) and type(key.secret_dims[1]) is int
     with pytest.raises(KeyMismatch):
