@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeMismatch
-from .rng import check_seed, random_permutation
+from .rng import MAX_PERMUTATION, check_seed, index_dtype, random_permutation
 
 
 def check_ints(values, error, name):
@@ -49,12 +49,15 @@ class ReshuffleOp:
     folding (the identity), a seed in [0, 2**64) the uniformly random
     reshuffle of ``random_permutation(m * n, seed)``.  The fields are checked
     at construction: the extents must be integers and the seed None or in
-    range.  The permutations are built on first use, so an operator that is
-    never applied allocates nothing.  ``perm`` maps matrix linear index k to
+    range, and a seeded operator may relocate at most 2**32 entries.  The
+    permutations are built on first use, so an operator that is never
+    applied allocates nothing.  ``perm`` maps matrix linear index k to
     tensor linear index perm[k] (both row-major), and it is the one
     permutation the operator stores: apply scatters through it and adjoint
-    gathers through it.  ``inv_perm``, its inverse, is built afresh on each
-    read.
+    gathers through it.  It is held in ``rng.index_dtype(size)``, the
+    narrowest unsigned type of its largest index: 1 byte per entry up to 256
+    entries, 2 up to 2**16 and 4 up to 2**32.  ``inv_perm``, its inverse in
+    the same dtype, is built afresh on each read.
     """
 
     m: int
@@ -65,6 +68,10 @@ class ReshuffleOp:
     def __post_init__(self):
         object.__setattr__(self, "dst_shape", _check_counts(self.m, self.n, self.dst_shape))
         object.__setattr__(self, "seed", check_seed(self.seed, "operator seed", optional=True))
+        if self.seed is not None and self.size > MAX_PERMUTATION:
+            raise ShapeMismatch(
+                f"a seeded operator relocates at most 2**32 entries, got {self.size}"
+            )
 
     @property
     def size(self):
@@ -73,7 +80,7 @@ class ReshuffleOp:
     @cached_property
     def perm(self):
         if self.seed is None:
-            return _freeze(np.arange(self.size, dtype=np.intp))
+            return _freeze(np.arange(self.size, dtype=index_dtype(self.size)))
         return _freeze(random_permutation(self.size, self.seed))
 
     @property
@@ -81,7 +88,7 @@ class ReshuffleOp:
         if self.seed is None:
             return self.perm
         inv_perm = np.empty_like(self.perm)
-        inv_perm[self.perm] = np.arange(self.size, dtype=np.intp)
+        inv_perm[self.perm] = np.arange(self.size, dtype=inv_perm.dtype)
         return _freeze(inv_perm)
 
     def apply(self, A):
@@ -142,5 +149,5 @@ def cross_map(op_i, op_j):
         raise ShapeMismatch(
             f"operators relocate different element counts: {op_i.size} vs {op_j.size}"
         )
-    return op_j.inv_perm[op_i.perm]
+    return op_j.inv_perm[op_i.perm].astype(np.intp)
 

@@ -64,8 +64,20 @@ def bulk_u64(seed, count, start=0):
     return z ^ (z >> np.uint64(31))
 
 
+MAX_PERMUTATION = 1 << 32  # draws and sort keys work on 32-bit limbs
+
+
+def index_dtype(count):
+    """The narrowest unsigned dtype that holds every index of range(count):
+    uint8 up to 256 entries, uint16 up to 2**16, uint32 up to 2**32."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
 def random_permutation(count, seed):
     """Uniform permutation of range(count) via Fisher-Yates over splitmix64.
+
+    The result holds the swap loop's exact values in ``index_dtype(count)``;
+    the work arrays are intp, since pointer jumping gathers through them.
 
     The shuffle walks i = count-1 .. 1 and swaps position i with
     j = (u64 * (i+1)) >> 64 where u64 is the next stream output.  All j are
@@ -83,11 +95,11 @@ def random_permutation(count, seed):
     shuffle runs them.  Position 0 is never a step and ends as
     ``carried[0]``; so does every i with j_i == i.
     """
-    if count > 1 << 32:
+    if count > MAX_PERMUTATION:
         raise ValueError(f"permutation of {count} entries exceeds 2**32")
-    carried = np.arange(count, dtype=np.intp)
     if count < 2:
-        return carried
+        return np.arange(count, dtype=index_dtype(count))
+    carried = np.arange(count, dtype=np.intp)
     u = bulk_u64(seed, count - 1)
     bound = np.arange(count, 1, -1, dtype=np.uint64)  # i + 1
     low = (u & np.uint64(0xFFFFFFFF)) * bound
@@ -122,7 +134,7 @@ def random_permutation(count, seed):
     taken = carried[sorted_i[:-1]]  # what the previous step into j left
     taken[first] = j[first]
     carried[i] = taken
-    return carried
+    return carried.astype(index_dtype(count))
 
 
 def gaussians(count, seed):

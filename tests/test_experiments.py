@@ -50,6 +50,13 @@ def test_make_instance_custom_shape_and_determinism():
     assert not np.array_equal(X1, X3)
 
 
+def test_instance_permutations_take_two_bytes_per_entry():
+    # A 100x100 operator's indices fit in uint16.
+    for seed in (0, 1):
+        _, ops, _ = make_instance(100, 4, 2, seed)
+        assert sum(op.perm.nbytes for op in ops) == 2 * 10_000 * 2
+
+
 def test_noise_sigma_hits_snr():
     _, _, X = make_instance(60, 2, 3, seed=1)
     for snr in (10.0, 30.0):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_rng import reference_permutation
 
 import rtd.reshuffle as reshuffle
 from rtd.errors import BadIndex, ShapeMismatch
@@ -105,6 +108,18 @@ def test_shape_mismatch_errors():
         ReshuffleOp(2, 2, (4.7,))
     op = ReshuffleOp(np.int64(2), np.int32(2), (np.int64(4),))
     assert op.dst_shape == (4,) and type(op.dst_shape[0]) is int
+    # A seeded permutation holds at most 2**32 entries; the identity has no
+    # such limit.  Neither check builds a permutation.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeMismatch, match="at most 2\\*\\*32"):
+            reshuffle_from_seed(1 << 17, 1 << 16, (1 << 33,), 1)
+        reshuffle_identity(1 << 17, 1 << 16, (1 << 33,))
+        reshuffle_from_seed(1 << 16, 1 << 16, (1 << 32,), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_observe_is_the_sum_of_applies_bit_for_bit():
@@ -215,6 +230,30 @@ def test_an_operator_stores_one_permutation():
     first, second = op.inv_perm, op.inv_perm
     assert np.array_equal(first, second) and first is not second
     assert not first.flags.writeable and not second.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "size, dtype",
+    [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)],
+)
+def test_perm_is_held_in_the_narrowest_unsigned_dtype(size, dtype):
+    ident = reshuffle_identity(1, size, (size,))
+    op = reshuffle_from_seed(1, size, (size,), size + 5)
+    assert ident.perm.dtype == dtype and ident.perm.tolist() == list(range(size))
+    assert op.perm.dtype == dtype
+    assert op.perm.tolist() == reference_permutation(size, size + 5)
+    wide = op.perm.astype(np.intp)
+    inv = op.inv_perm
+    assert inv.dtype == dtype and not inv.flags.writeable
+    assert inv[wide].tolist() == list(range(size))
+    for op_i in (ident, op):
+        for op_j in (ident, op):
+            assert cross_map(op_i, op_j).dtype == np.intp
+    A = gaussians(size, 7).reshape(1, size)
+    scattered = np.empty(size)
+    scattered[wide] = A.ravel()
+    assert op.apply(A).tobytes() == scattered.tobytes()
+    assert op.adjoint(scattered).tobytes() == scattered[wide].tobytes()
 
 
 def test_cross_map_size_mismatch():

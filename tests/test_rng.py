@@ -76,7 +76,7 @@ def test_permutation_peak_memory_per_entry():
 
 
 def test_permutation_matches_bounded_draws():
-    # Stego keys depend on these exact bytes, up to 2**16 entries.
+    # Stego keys depend on these exact values, up to 2**16 entries.
     for count in (0, 1, 2, 65536):
         assert random_permutation(count, count + 3).tolist() == reference_permutation(
             count, count + 3

@@ -146,16 +146,27 @@ def mixed_shape_problem(count):
     return Problem(observe(ops, comps), ops)
 
 
+def seeded_problem(shapes, size):
+    """Seeded operators of the given matrix shapes into a flat tensor of
+    ``size`` entries, each with a rank-1 component."""
+    ops = [reshuffle_from_seed(m, n, (size,), 50 + i) for i, (m, n) in enumerate(shapes)]
+    comps = [np.outer(gaussians(op.m, 60 + i), gaussians(op.n, 70 + i)) for i, op in enumerate(ops)]
+    return Problem(observe(ops, comps), ops)
+
+
 @pytest.mark.parametrize(
     "problem",
     [two_component_problem(n=12)[0], two_component_problem(n=16)[0],
-     *(mixed_shape_problem(count) for count in (1, 2, 3))],
-    ids=["12", "16", "mixed-N1", "mixed-N2", "mixed-N3"],
+     *(mixed_shape_problem(count) for count in (1, 2, 3)),
+     seeded_problem([(16, 16), (8, 32)], 256), seeded_problem([(1, 257), (257, 1)], 257)],
+    ids=["12", "16", "mixed-N1", "mixed-N2", "mixed-N3", "seeded-256", "seeded-257"],
 )
 def test_running_vector_matches_the_plain_update(problem, monkeypatch):
     # Every threshold is a full SVD, as in the reference.  The mixed-shape
     # problems carry the running vector through layouts of other shapes
     # than the tensor's, and at N = 1 through the wrap-around step alone.
+    # The seeded problems store their permutations as uint8 (256 entries)
+    # and uint16 (257 entries).
     monkeypatch.setattr(linalg_mod, "_partial_svd", lambda M, alpha, V: None)
     config = SolverConfig(max_iter=200, tol=1e-30)
     result = decompose(problem, config)

@@ -125,7 +125,7 @@ def test_a_key_holds_one_permutation_per_channel():
     reveal(container, key, config=SolverConfig(max_iter=3))
     arrays = [v for op in key.channel_ops for v in vars(op).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 3
-    assert all(a.dtype == np.intp and a.shape == (32 * 32,) for a in arrays)
+    assert all(a.dtype == np.uint16 and a.shape == (32 * 32,) for a in arrays)
 
 
 def test_wrong_seed_reveals_noise():
