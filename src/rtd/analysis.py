@@ -7,9 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZeroSignal, BadIndex, DegenerateRank, ShapeMismatch
+from .errors import (
+    AllZeroSignal, BadIndex, DegenerateRank, ShapeMismatch, check_count, check_positive,
+)
 from .formats import csv_text
-from .linalg import numerical_rank, spectral_norm, svd_full
+from .linalg import SvdFactors, numerical_rank, spectral_norm, svd_full
 from .reshuffle import cross_map
 from .rng import check_seed, derive_seed, gaussians
 
@@ -49,19 +51,13 @@ def sir(reference, estimate):
 
 def recovery_bound_min_n(N, r):
     """Smallest square dimension n with n > (3N - 2)^2 * r."""
-    N = int(N)
-    r = int(r)
-    if N < 1 or r < 1:
-        raise ValueError(f"need N >= 1 and r >= 1, got N={N}, r={r}")
+    N, r = check_count(N, ValueError, "N"), check_count(r, ValueError, "r")
     return (3 * N - 2) ** 2 * r + 1
 
 
 def certificate_threshold(N):
     """Incoherence level below which exact recovery is certified: 1/(3N - 2)."""
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    return 1.0 / (3 * N - 2)
+    return 1.0 / (3 * check_count(N, ValueError, "N") - 2)
 
 
 def _mu_list(mu_values):
@@ -85,21 +81,14 @@ def exact_recovery_certificate(mu_values):
     return max(mu_values) < certificate_threshold(len(mu_values))
 
 
-@dataclass(frozen=True)
-class TangentBasisInfo:
-    """Orthonormal factors spanning the tangent set {U @ W.T + Z @ V.T} at a matrix."""
-
-    U: np.ndarray
-    V: np.ndarray
-
-
 def tangent_basis(A):
-    """Truncated SVD factors of A at its numerical rank."""
+    """Truncated SVD factors of A at its numerical rank, as ``SvdFactors``:
+    U and V are orthonormal and span the tangent set {U @ W.T + Z @ V.T}."""
     f = svd_full(A)
     k = numerical_rank(f.S)
     if k == 0:
         raise DegenerateRank("zero matrix has no tangent basis")
-    return TangentBasisInfo(np.ascontiguousarray(f.U[:, :k]), np.ascontiguousarray(f.V[:, :k]))
+    return SvdFactors(*(np.ascontiguousarray(a) for a in (f.U[:, :k], f.S[:k], f.V[:, :k])))
 
 
 def tangent_project(T, M):
@@ -186,15 +175,14 @@ def incoherence_lower_bound(A, ops, i, restarts=8, iters=50, seed=0):
     supremum.
     """
     A = np.asarray(A, dtype=np.float64)
-    if not 0 <= i < len(ops):
+    if check_count(i, BadIndex, "component index", low=0) >= len(ops):
         raise BadIndex(f"component index {i} out of range for {len(ops)} operators")
     op_i = ops[i]
     if A.shape != (op_i.m, op_i.n):
         raise ShapeMismatch(f"expected {op_i.m}x{op_i.n} matrix, got {A.shape}")
     basis = tangent_basis(A)
-    restarts = int(restarts)
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
+    restarts = check_count(restarts, ValueError, "restarts")
+    iters = check_count(iters, ValueError, "iters")
     seed = check_seed(seed)
     others = [(j, ops[j]) for j in range(len(ops)) if j != i]
     if not others:
@@ -224,9 +212,7 @@ def incoherence_lower_bound(A, ops, i, restarts=8, iters=50, seed=0):
 
 def estimate_component_count(components, eta):
     """Number of components whose norm exceeds eta times the largest norm."""
-    eta = float(eta)
-    if eta <= 0:
-        raise ValueError(f"need eta > 0, got {eta}")
+    eta = check_positive(eta, ValueError, "eta")
     norms = [float(np.linalg.norm(np.asarray(a, dtype=np.float64))) for a in components]
     if not norms or max(norms) == 0.0:
         return 0

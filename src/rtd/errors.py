@@ -1,4 +1,10 @@
-"""Exception types raised across the library."""
+"""Exception types raised across the library, and the input rules that raise
+them: integers (``check_ints``), counts (``check_count``) and finite positive
+numbers (``check_positive``).  Each rule takes the class its caller raises."""
+
+import math
+import numbers
+import operator
 
 
 class RtdError(Exception):
@@ -51,3 +57,30 @@ class MalformedHeader(RtdError):
 
 class UnsupportedMaxval(RtdError):
     """Netpbm maxval other than 255 or 65535."""
+
+
+def check_ints(values, error, name):
+    """``values`` as a tuple of Python ints, or ``error`` unless each is an
+    integer.  The rule is ``operator.index``: NumPy integers pass, and a
+    float is refused rather than truncated."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise error(f"{name} must be integers, got {values!r}") from None
+
+
+def check_count(value, error, name, low=1):
+    """``value`` as a Python int, or ``error`` unless it is an integer (the
+    rule of ``check_ints``) of at least ``low``."""
+    (value,) = check_ints((value,), error, name)
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def check_positive(value, error, name):
+    """``value`` as a Python float, or ``error`` unless it is a real number
+    (NumPy's included, strings not), finite and > 0."""
+    if isinstance(value, numbers.Real) and 0.0 < value < math.inf:
+        return float(value)
+    raise error(f"{name} must be finite and positive, got {value!r}")

@@ -11,32 +11,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import estimate_component_count, recovery_bound_min_n, tsir
-from .errors import AllZeroSignal, BadRank
+from .errors import AllZeroSignal, BadRank, check_count, check_ints, check_positive
 from .linalg import binary_scaled, random_semi_orthonormal_pair
 from .formats import csv_text
-from .reshuffle import check_ints, observe, reshuffle_from_seed
+from .reshuffle import observe, reshuffle_from_seed
 from .rng import bulk_u64, check_seed, derive_seed, gaussians
 from .solver import Problem, SolverConfig, at_noise_floor, decompose
 
 MODES = ("rank_vs_size", "rank_vs_count")
 
 
-def make_instance(n, r, N, seed, dst_shape=None):
+def make_instance(n, r, N, seed):
     """Random exact-recovery instance: N rank-r components under seeded reshuffles.
 
     Components are products of semi-orthonormal factors, so each has
     Frobenius norm sqrt(r) and unit nonzero singular values.  The tensor
-    shape defaults to the flat (n*n,); random permutations make any
-    higher-order shape equivalent.
+    shape is the flat (n*n,); random permutations make any higher-order
+    shape equivalent.  N must be a count >= 1 (ValueError) and the seed in
+    range for the stream (BadIndex); n and r are checked by
+    ``random_semi_orthonormal_pair`` (BadRank).
     """
-    if dst_shape is None:
-        dst_shape = (n * n,)
+    N, seed = check_count(N, ValueError, "N"), check_seed(seed)
     comps = []
     ops = []
     for i in range(N):
         U, V = random_semi_orthonormal_pair(n, r, derive_seed(seed, i))
         comps.append(U @ V.T)
-        ops.append(reshuffle_from_seed(n, n, dst_shape, derive_seed(seed, N + i)))
+        ops.append(reshuffle_from_seed(n, n, (n * n,), derive_seed(seed, N + i)))
     return comps, ops, observe(ops, comps)
 
 
@@ -63,17 +64,15 @@ def _check_spec(spec, lists, counts, max_rank=math.inf):
     """Checks shared by the experiment specs, made at construction so that a
     bad value fails before any cell is solved: the named value lists are
     nonempty; the named counts (trials per cell, sizes, component counts)
-    are integers >= 1; every rank is an integer in [1, max_rank], or
-    BadRank; every SNR is finite; and the seed is in range for the stream.  Integers follow the ``operator.index`` rule of
-    ``reshuffle.check_ints`` and are stored as Python ints."""
+    pass ``errors.check_count``; every rank is an integer in [1, max_rank],
+    or BadRank; every SNR is finite; and the seed is in range for the
+    stream.  Integers follow the ``operator.index`` rule of
+    ``errors.check_ints`` and are stored as Python ints."""
     for name in lists:
         if not getattr(spec, name):
             raise ValueError(f"{name} must be nonempty")
-    values = check_ints([getattr(spec, name) for name in counts], ValueError, ", ".join(counts))
-    for name, value in zip(counts, values):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-        object.__setattr__(spec, name, value)
+    for name in counts:
+        object.__setattr__(spec, name, check_count(getattr(spec, name), ValueError, name))
     ranks = check_ints(spec.ranks, BadRank, "ranks")
     if not 1 <= min(ranks) <= max(ranks) <= max_rank:
         raise BadRank(f"ranks must be in [1, {max_rank}], got {ranks}")
@@ -126,9 +125,7 @@ class PhaseGridSpec:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         _check_spec(self, ("ranks", "axis"), ("fixed", "trials"))
-        axis = check_ints(self.axis, ValueError, "axis")
-        if min(axis) < 1:
-            raise ValueError(f"axis values must be >= 1, got {axis}")
+        axis = (check_count(a, ValueError, "axis values") for a in self.axis)
         object.__setattr__(self, "ranks", tuple(sorted(self.ranks)))
         object.__setattr__(self, "axis", tuple(sorted(axis)))
 
@@ -288,8 +285,7 @@ class DropoutSpec:
 
     def __post_init__(self):
         _check_spec(self, ("ranks", "snrs_db"), ("n", "N", "trials"), self.n)
-        if not float(self.eta) > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        object.__setattr__(self, "eta", check_positive(self.eta, ValueError, "eta"))
 
 
 def _dropout_trial(spec, cell, seed):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRank, NonFinite
+from .errors import BadRank, NonFinite, check_ints
 from .rng import derive_seed, gaussians
 
 # Singular values below RANK_CUTOFF * s_max count as zero for rank decisions.
@@ -144,10 +144,7 @@ def svt_with_values(M, alpha, warm=None):
     values[:k] = shrunk[:k]
     if warm is not None:
         warm.basis = np.ascontiguousarray(Vt[: k + OVERSAMPLE].T)
-    if k == 0:
-        return np.zeros_like(M), values
-    out = (U[:, :k] * shrunk[:k]) @ Vt[:k, :]
-    return out, values
+    return (U[:, :k] * shrunk[:k]) @ Vt[:k, :], values
 
 
 def spectral_norm(M):
@@ -185,6 +182,7 @@ def random_semi_orthonormal_pair(n, r, seed):
     Their product U V^T has rank r with all nonzero singular values equal
     to one, which is the component model used throughout the experiments.
     """
+    n, r = check_ints((n, r), BadRank, "n and r")
     if not 1 <= r <= n:
         raise BadRank(f"need 1 <= r <= n, got r={r}, n={n}")
     U = _semi_orthonormal(n, r, derive_seed(seed, 0))

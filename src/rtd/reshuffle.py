@@ -7,31 +7,18 @@ fastest), which this module uses for both matrices and tensors.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, check_count, check_ints
 from .rng import MAX_PERMUTATION, check_seed, index_dtype, random_permutation
 
 
-def check_ints(values, error, name):
-    """``values`` as a tuple of Python ints, or ``error`` unless each is an
-    integer.  The rule is ``operator.index``: NumPy integers pass, and a
-    float is refused rather than truncated."""
-    try:
-        return tuple(operator.index(v) for v in values)
-    except TypeError:
-        raise error(f"{name} must be integers, got {values!r}") from None
-
-
 def _check_counts(m, n, dst_shape):
-    m, n = check_ints((m, n), ShapeMismatch, "matrix extents")
+    m, n = (check_count(e, ShapeMismatch, "matrix extents") for e in (m, n))
     dst_shape = check_ints(dst_shape, ShapeMismatch, "tensor extents")
-    if m < 1 or n < 1:
-        raise ShapeMismatch(f"matrix extents must be >= 1, got {m}x{n}")
     if len(dst_shape) < 1 or any(e < 1 for e in dst_shape):
         raise ShapeMismatch(f"tensor extents must be >= 1, got {dst_shape}")
     if m * n != math.prod(dst_shape):

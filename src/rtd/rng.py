@@ -11,7 +11,7 @@ import operator
 
 import numpy as np
 
-from .errors import BadIndex
+from .errors import BadIndex, ShapeMismatch, check_count
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -78,6 +78,7 @@ def random_permutation(count, seed):
 
     The result holds the swap loop's exact values in ``index_dtype(count)``;
     the work arrays are intp, since pointer jumping gathers through them.
+    ``count`` must be an integer in [0, 2**32], or ShapeMismatch.
 
     The shuffle walks i = count-1 .. 1 and swaps position i with
     j = (u64 * (i+1)) >> 64 where u64 is the next stream output.  All j are
@@ -95,8 +96,9 @@ def random_permutation(count, seed):
     shuffle runs them.  Position 0 is never a step and ends as
     ``carried[0]``; so does every i with j_i == i.
     """
+    count = check_count(count, ShapeMismatch, "permutation size", low=0)
     if count > MAX_PERMUTATION:
-        raise ValueError(f"permutation of {count} entries exceeds 2**32")
+        raise ShapeMismatch(f"permutation of {count} entries exceeds 2**32")
     if count < 2:
         return np.arange(count, dtype=index_dtype(count))
     carried = np.arange(count, dtype=np.intp)

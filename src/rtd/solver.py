@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceDetected, NonFinite, ShapeMismatch
+from .errors import DivergenceDetected, NonFinite, ShapeMismatch, check_count, check_positive
 from .linalg import WarmStart, binary_scaled, spectral_norm, svt_with_values
 from .formats import csv_text
 from .reshuffle import cross_map, observe
@@ -67,10 +67,8 @@ class SolverConfig:
     tol: float = 1e-7
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        self.max_iter = check_count(self.max_iter, ValueError, "max_iter")
+        self.tol = check_positive(self.tol, ValueError, "tol")
 
 
 def at_noise_floor(config, X, sigma):

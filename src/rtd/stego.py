@@ -13,9 +13,10 @@ import numpy as np
 
 from .analysis import sir, tsir
 from .errors import DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMaxval
+from .errors import check_ints, check_positive
 from .formats import csv_text, read_lines, write_lines
 from .netpbm import GrayImage, RgbImage, quantize
-from .reshuffle import check_ints, reshuffle_from_seed, reshuffle_identity
+from .reshuffle import reshuffle_from_seed, reshuffle_identity
 from .rng import check_seed, derive_seed
 from .solver import Problem, SolverConfig, at_noise_floor, decompose
 
@@ -45,8 +46,8 @@ class StegoKey:
     mode: str = "float"
 
     def __post_init__(self):
-        if not 0 < self.strength < np.inf:
-            raise StrengthOutOfRange(f"strength must be finite and positive, got {self.strength}")
+        strength = check_positive(self.strength, StrengthOutOfRange, "strength")
+        object.__setattr__(self, "strength", strength)
         if self.mode not in MODES:
             raise KeyMismatch(f"mode must be one of {MODES}, got {self.mode!r}")
         cover = check_ints(self.cover_dims, DimMismatch, "cover dimensions")
@@ -64,7 +65,6 @@ class StegoKey:
         object.__setattr__(self, "cover_dims", (ch, cw))
         object.__setattr__(self, "secret_dims", (sh, sw))
         object.__setattr__(self, "master_seed", check_seed(self.master_seed, "master seed"))
-        object.__setattr__(self, "strength", float(self.strength))
 
     @cached_property
     def channel_ops(self):
@@ -84,6 +84,8 @@ def conceal(cover, secret, strength=0.05, master_seed=0, mode="float"):
     reveal except the images themselves.  A q8 container is rounded to
     maxval 255; a float one is exact (maxval None).
     """
+    if not (isinstance(cover, GrayImage) and isinstance(secret, RgbImage)):
+        raise DimMismatch("conceal needs a GrayImage cover and an RgbImage secret")
     key = StegoKey(master_seed, cover.pixels.shape, secret.pixels.shape[:2], strength, mode)
     pixels = cover.pixels.astype(np.float64).copy()
     for c, op in enumerate(key.channel_ops):

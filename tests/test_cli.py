@@ -489,6 +489,19 @@ def test_experiments_refuse_a_component_count_below_one(subcommand, tmp_path, ca
         assert not csv_path.exists()
 
 
+def test_dropout_refuses_an_infinite_eta(tmp_path, capsys):
+    # An infinite eta counts no component, so every trial would read as a miss.
+    csv_path = tmp_path / "dropout.csv"
+    assert main([
+        "dropout", "--eta", "inf", "--n", "8", "--N", "2", "--ranks", "1", "--snrs", "30",
+        "--trials", "6", "--threads", "1", "--out-csv", str(csv_path),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "rtd: eta must be finite and positive, got inf" in err
+    assert "Traceback" not in err
+    assert not csv_path.exists()
+
+
 def test_noise_refuses_a_bad_rank_before_it_solves(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a cell before checking every rank")

@@ -37,16 +37,16 @@ def test_make_instance_invariants():
     assert np.array_equal(total, X)
 
 
-def test_make_instance_custom_shape_and_determinism():
-    comps1, ops1, X1 = make_instance(6, 1, 3, seed=9, dst_shape=(4, 9))
-    comps2, ops2, X2 = make_instance(6, 1, 3, seed=9, dst_shape=(4, 9))
-    assert X1.shape == (4, 9)
+def test_make_instance_determinism():
+    comps1, ops1, X1 = make_instance(6, 1, 3, seed=9)
+    comps2, ops2, X2 = make_instance(6, 1, 3, seed=9)
+    assert X1.shape == (36,)
     assert np.array_equal(X1, X2)
     for a, b in zip(comps1, comps2):
         assert np.array_equal(a, b)
     for a, b in zip(ops1, ops2):
         assert np.array_equal(a.perm, b.perm)
-    _, _, X3 = make_instance(6, 1, 3, seed=10, dst_shape=(4, 9))
+    _, _, X3 = make_instance(6, 1, 3, seed=10)
     assert not np.array_equal(X1, X3)
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rtd.errors import BadIndex
+from rtd.errors import BadIndex, ShapeMismatch
 from rtd.rng import (
     GOLDEN,
     bulk_u64,
@@ -85,7 +85,7 @@ def test_permutation_matches_bounded_draws():
 
 def test_permutation_count_guard():
     # Checked before anything is allocated.
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeMismatch):
         random_permutation((1 << 32) + 1, 0)
 
 

@@ -147,6 +147,13 @@ def test_strength_scaling_consistency():
     assert np.allclose(s1.pixels, s2.pixels, atol=1e-5)
 
 
+def test_conceal_refuses_swapped_image_kinds():
+    cover, secret = small_pair(8, 8)
+    for pair in ((cover, cover), (secret, secret), (secret, cover)):
+        with pytest.raises(DimMismatch, match="GrayImage cover and an RgbImage secret"):
+            conceal(*pair)
+
+
 def test_key_validation():
     for strength in (0.0, np.nan, np.inf):
         with pytest.raises(StrengthOutOfRange):
