@@ -3,7 +3,7 @@ exact-recovery certificate, and a tangent-space ascent that lower-bounds the
 incoherence of a component with respect to a family of reshuffles.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,35 +11,50 @@ from .errors import (
     AllZeroSignal, BadIndex, DegenerateRank, ShapeMismatch, check_count, check_positive,
 )
 from .formats import csv_text
-from .linalg import SvdFactors, numerical_rank, spectral_norm, svd_full
+from .linalg import SvdFactors, binary_scaled, numerical_rank, spectral_norm, svd_full
 from .reshuffle import cross_map
 from .rng import check_seed, derive_seed, gaussians
 
 DB_CAP = 300.0
 
 
+def _scale_exponent(arrays):
+    """The ``binary_scaled`` exponent of the largest entry of any of ``arrays``.
+
+    Norms taken of the arrays times 2**-e neither over- nor underflow in
+    their squares, and at normal scales they are the plain norms times
+    2**-e exactly, so ratios of them do not change.
+    """
+    return binary_scaled(np.array([np.abs(a).max(initial=0.0) for a in arrays]))[1]
+
+
 def tsir(true_components, est_components):
     """Total signal-to-interference ratio across a component list, in dB.
 
-    Capped at +300 dB when the total error energy is negligible relative
-    to the total signal energy.
+    Capped at +300 dB (DB_CAP): an error energy at or below 1e-30 of the
+    signal energy scores 300.  The energies are taken at the power-of-two
+    scale of the references' largest entry, so the ratio is the same for
+    both lists scaled by any power of two, and does not under- or overflow
+    at extreme magnitudes.
     """
     if len(true_components) != len(est_components):
         raise ShapeMismatch(
             f"component counts differ: {len(true_components)} vs {len(est_components)}"
         )
-    num = 0.0
-    den = 0.0
+    true_components = [np.asarray(a, dtype=np.float64) for a in true_components]
+    e = _scale_exponent(true_components)
+    num = den = 0.0
     for a, b in zip(true_components, est_components):
-        a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.shape != b.shape:
             raise ShapeMismatch(f"component shapes differ: {a.shape} vs {b.shape}")
-        num += np.linalg.norm(a) ** 2
-        den += np.linalg.norm(a - b) ** 2
+        d = np.ldexp(a, -e)
+        num += np.linalg.norm(d) ** 2
+        d -= np.ldexp(b, -e)
+        den += np.linalg.norm(d) ** 2
     if num == 0.0:
         raise AllZeroSignal("reference signal has zero energy")
-    if den < 1e-300 * num:
+    if den <= num * 10.0 ** (-DB_CAP / 10.0):
         return DB_CAP
     return 10.0 * np.log10(num / den)
 
@@ -70,17 +85,6 @@ def _mu_list(mu_values):
     return mu_values
 
 
-def exact_recovery_certificate(mu_values):
-    """True iff max mu_i < 1/(3N - 2) for N = len(mu_values).
-
-    The ascent estimator below only lower-bounds each mu_i, so a True
-    result is necessary-style evidence ("not falsified"), while a False
-    result genuinely falsifies the condition.
-    """
-    mu_values = _mu_list(mu_values)
-    return max(mu_values) < certificate_threshold(len(mu_values))
-
-
 def tangent_basis(A):
     """Truncated SVD factors of A at its numerical rank, as ``SvdFactors``:
     U and V are orthonormal and span the tangent set {U @ W.T + Z @ V.T}."""
@@ -109,8 +113,8 @@ class IncoherenceEstimate:
 
     value: float
     restarts: int
-    restart_values: list = field(default_factory=list)
-    converged: list = field(default_factory=list)
+    restart_values: list
+    converged: list
 
 
 def _leading_pair(B):
@@ -184,10 +188,7 @@ def incoherence_lower_bound(A, ops, i, restarts=8, iters=50, seed=0):
     restarts = check_count(restarts, ValueError, "restarts")
     iters = check_count(iters, ValueError, "iters")
     seed = check_seed(seed)
-    others = [(j, ops[j]) for j in range(len(ops)) if j != i]
-    if not others:
-        return IncoherenceEstimate(0.0, restarts, [0.0] * restarts, [True] * restarts)
-    crosses = [(cross_map(op_i, op_j), (op_j.m, op_j.n)) for _, op_j in others]
+    crosses = [(cross_map(op_i, op_j), (op_j.m, op_j.n)) for j, op_j in enumerate(ops) if j != i]
     restart_values = []
     converged = []
     for t in range(restarts):
@@ -211,9 +212,15 @@ def incoherence_lower_bound(A, ops, i, restarts=8, iters=50, seed=0):
 
 
 def estimate_component_count(components, eta):
-    """Number of components whose norm exceeds eta times the largest norm."""
+    """Number of components whose norm exceeds eta times the largest norm.
+
+    The norms are taken at the power-of-two scale of the largest entry, as
+    in ``tsir``, so the count is the same at any magnitude.
+    """
     eta = check_positive(eta, ValueError, "eta")
-    norms = [float(np.linalg.norm(np.asarray(a, dtype=np.float64))) for a in components]
+    components = [np.asarray(a, dtype=np.float64) for a in components]
+    e = _scale_exponent(components)
+    norms = [float(np.linalg.norm(np.ldexp(a, -e))) for a in components]
     if not norms or max(norms) == 0.0:
         return 0
     cut = eta * max(norms)

@@ -53,13 +53,6 @@ def noise_sigma(X, snr_db):
     return math.ldexp(norm / math.sqrt(scaled.size * 10.0 ** (snr_db / 10.0)), e)
 
 
-def add_gaussian_noise(X, snr_db, seed):
-    """X plus iid zero-mean Gaussian noise at the given SNR (dB)."""
-    X = np.asarray(X, dtype=np.float64)
-    sigma = noise_sigma(X, snr_db)
-    return X + sigma * gaussians(X.size, seed).reshape(X.shape)
-
-
 def _check_spec(spec, lists, counts, max_rank=math.inf):
     """Checks shared by the experiment specs, made at construction so that a
     bad value fails before any cell is solved: the named value lists are
@@ -247,7 +240,7 @@ def _noisy_solve(X, ops, snr_db, seed):
     if not X.any():
         return decompose(Problem(X, ops))
     sigma = noise_sigma(X, snr_db)
-    Xn = add_gaussian_noise(X, snr_db, derive_seed(seed, 1))
+    Xn = X + sigma * gaussians(X.size, derive_seed(seed, 1)).reshape(X.shape)
     return decompose(Problem(Xn, ops), at_noise_floor(SolverConfig(), Xn, NOISE_TOL_FACTOR * sigma))
 
 

@@ -45,22 +45,13 @@ def write_tensor(X, path):
         fh.write(X.astype("<f8", copy=False).tobytes())
 
 
-def _split_header_lines(data, count):
-    lines = []
-    pos = 0
-    for _ in range(count):
-        end = data.find(b"\n", pos)
-        if end < 0:
-            raise MalformedHeader("truncated header")
-        lines.append(data[pos:end].decode("ascii", errors="replace"))
-        pos = end + 1
-    return lines, pos
-
-
 def read_tensor(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    lines, offset = _split_header_lines(data, 3)
+    *lines, payload = data.split(b"\n", 3)
+    if len(lines) < 3:
+        raise MalformedHeader("truncated header")
+    lines = [ln.decode("ascii", errors="replace") for ln in lines]
     if lines[0] != TENSOR_MAGIC:
         raise MalformedHeader(f"bad magic line {lines[0]!r}")
     fields = lines[1].split()
@@ -76,7 +67,6 @@ def read_tensor(path):
     if lines[2] != "dtype f64":
         raise MalformedHeader(f"unsupported dtype line {lines[2]!r}")
     count = math.prod(shape)
-    payload = data[offset:]
     if len(payload) != count * 8:
         raise MalformedHeader(f"payload is {len(payload)} bytes, expected {count * 8}")
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRank, NonFinite, check_ints
-from .rng import derive_seed, gaussians
+from .rng import check_seed, derive_seed, gaussians
 
 # Singular values below RANK_CUTOFF * s_max count as zero for rank decisions.
 RANK_CUTOFF = 1e-12
@@ -181,10 +181,13 @@ def random_semi_orthonormal_pair(n, r, seed):
 
     Their product U V^T has rank r with all nonzero singular values equal
     to one, which is the component model used throughout the experiments.
+    n and r must be integers with 1 <= r <= n (BadRank), and the seed must
+    pass ``rtd.rng.check_seed`` (BadIndex).
     """
     n, r = check_ints((n, r), BadRank, "n and r")
     if not 1 <= r <= n:
         raise BadRank(f"need 1 <= r <= n, got r={r}, n={n}")
+    seed = check_seed(seed)
     U = _semi_orthonormal(n, r, derive_seed(seed, 0))
     V = _semi_orthonormal(n, r, derive_seed(seed, 1))
     return U, V

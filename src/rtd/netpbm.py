@@ -38,13 +38,9 @@ class _Image:
 class GrayImage(_Image):
     """Grayscale image: pixels (h, w) float64 in [0, 1]."""
 
-    channels = 1
-
 
 class RgbImage(_Image):
     """Color image: pixels (h, w, 3) float64 in [0, 1]."""
-
-    channels = 3
 
 
 def _read_tokens(data, count):

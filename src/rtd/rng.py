@@ -78,7 +78,8 @@ def random_permutation(count, seed):
 
     The result holds the swap loop's exact values in ``index_dtype(count)``;
     the work arrays are intp, since pointer jumping gathers through them.
-    ``count`` must be an integer in [0, 2**32], or ShapeMismatch.
+    ``count`` must be an integer in [0, 2**32], or ShapeMismatch, and the
+    seed pass ``check_seed``.
 
     The shuffle walks i = count-1 .. 1 and swaps position i with
     j = (u64 * (i+1)) >> 64 where u64 is the next stream output.  All j are
@@ -97,6 +98,7 @@ def random_permutation(count, seed):
     ``carried[0]``; so does every i with j_i == i.
     """
     count = check_count(count, ShapeMismatch, "permutation size", low=0)
+    seed = check_seed(seed)
     if count > MAX_PERMUTATION:
         raise ShapeMismatch(f"permutation of {count} entries exceeds 2**32")
     if count < 2:
@@ -145,8 +147,9 @@ def gaussians(count, seed):
     Pair t consumes stream outputs 2t+1 and 2t+2:
     u1 = 1 - (out >> 11) * 2**-53 in (0, 1], u2 = (out >> 11) * 2**-53 in
     [0, 1); the pair yields r*cos(2*pi*u2), r*sin(2*pi*u2) with
-    r = sqrt(-2 ln u1).
+    r = sqrt(-2 ln u1).  The seed must pass ``check_seed``.
     """
+    seed = check_seed(seed)
     pairs = (count + 1) // 2
     if pairs == 0:
         return np.empty(0)

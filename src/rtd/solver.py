@@ -22,14 +22,14 @@ seeded by the component's index.
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceDetected, NonFinite, ShapeMismatch, check_count, check_positive
 from .linalg import WarmStart, binary_scaled, spectral_norm, svt_with_values
 from .formats import csv_text
-from .reshuffle import cross_map, observe
+from .reshuffle import cross_map
 from .rng import derive_seed
 
 # Residual blowing up past this multiple of its starting value aborts the run.
@@ -115,9 +115,9 @@ class SolverResult:
     converged: bool
     residual_history: list
     # Per-iteration metadata, parallel to residual_history.
-    objective_history: list = field(default_factory=list)
-    kappa_history: list = field(default_factory=list)
-    dual_history: list = field(default_factory=list)
+    objective_history: list
+    kappa_history: list
+    dual_history: list
 
     @property
     def stop_reason(self):
@@ -255,13 +255,6 @@ def decompose(problem, config=None):
         kappa_history=kappas,
         dual_history=duals,
     )
-
-
-def primal_residual(problem, components):
-    """||X - sum_i R_i(A_i)||_F / ||X||_F, or the plain norm when X is zero."""
-    residual = problem.X - observe(problem.ops, components)
-    norm_x = float(np.linalg.norm(problem.X))
-    return float(np.linalg.norm(residual)) / (norm_x if norm_x > 0.0 else 1.0)
 
 
 def history_csv(result):

@@ -6,7 +6,6 @@ from rtd.analysis import (
     certificate_csv,
     certificate_threshold,
     estimate_component_count,
-    exact_recovery_certificate,
     incoherence_lower_bound,
     recovery_bound_min_n,
     sir,
@@ -58,6 +57,39 @@ def test_tsir_pools_energy():
         tsir([np.zeros(2)], [np.zeros(2)])
 
 
+def test_tsir_cap_is_monotone():
+    # Error energies from 1e-20 down to 1e-40 of the signal's, then none:
+    # the score rises to the cap and stays there, never past it.
+    a = np.array([1.0, 0.0])
+    scores = [tsir([a], [np.array([1.0, d])]) for d in 10.0 ** -np.arange(10.0, 21.0)]
+    scores.append(tsir([a], [a]))
+    assert all(x <= y for x, y in zip(scores, scores[1:]))
+    assert max(scores) == DB_CAP
+    assert scores[4] == pytest.approx(280.0, abs=1e-9)
+    # One unit in the last place of one entry of two is 316 dB uncapped.
+    assert tsir([np.ones(2)], [np.array([1.0, 1.0 + 2.0**-52])]) == DB_CAP
+
+
+def test_tsir_and_component_count_do_not_change_with_scale():
+    # pytest turns warnings into errors here, so an under- or overflow in
+    # the energies fails.
+    truth = [gaussians(30, seed).reshape(5, 6) for seed in (1, 2, 3)]
+    est = [a + 0.05 * gaussians(30, 10 + i).reshape(5, 6) for i, a in enumerate(truth)]
+    comps = [truth[0], 0.5 * truth[1], 1e-3 * truth[2]]
+    base, count = tsir(truth, est), estimate_component_count(comps, 0.1)
+    assert count == 2
+
+    def scaled(c):
+        return tsir([c * a for a in truth], [c * b for b in est])
+
+    for c in (2.0**-560, 2.0**560):
+        assert scaled(c) == base, c
+    for c in (1e-170, 1e170):
+        assert abs(scaled(c) - base) <= 2 * np.spacing(base), c
+    for c in (2.0**-560, 2.0**560, 1e-170, 1e170):
+        assert estimate_component_count([c * a for a in comps], 0.1) == count, c
+
+
 def test_recovery_bound_values():
     assert recovery_bound_min_n(1, 1) == 2
     assert recovery_bound_min_n(2, 1) == 17
@@ -87,10 +119,14 @@ def test_certificate_threshold_values():
 
 
 def test_exact_recovery_certificate():
-    assert exact_recovery_certificate([0.9])  # N=1 threshold is 1
-    assert exact_recovery_certificate([0.2, 0.24])
-    assert not exact_recovery_certificate([0.2, 0.25])
-    assert not exact_recovery_certificate([0.05, 0.5, 0.01])
+    # Certified iff no component's verdict is "falsified": max mu_i < 1/(3N - 2).
+    def certified(mu_values):
+        return ",falsified\n" not in certificate_csv(mu_values)
+
+    assert certified([0.9])  # N=1 threshold is 1
+    assert certified([0.2, 0.24])
+    assert not certified([0.2, 0.25])
+    assert not certified([0.05, 0.5, 0.01])
 
 
 def test_tangent_basis_orthonormal():
@@ -194,7 +230,7 @@ def test_certificate_csv_golden():
     )
 
 
-@pytest.mark.parametrize("check", [exact_recovery_certificate, certificate_csv])
+@pytest.mark.parametrize("check", [certificate_csv])
 @pytest.mark.parametrize("mu_values", [[], [-0.1], [0.1, -0.1]])
 def test_mu_list_must_be_nonempty_and_nonnegative(check, mu_values):
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from rtd.errors import BadIndex, BadRank, ShapeMismatch, StrengthOutOfRange
 from rtd.experiments import DropoutSpec, NoiseSweepSpec, PhaseGridSpec, make_instance
 from rtd.linalg import random_semi_orthonormal_pair
 from rtd.reshuffle import ReshuffleOp
-from rtd.rng import random_permutation
+from rtd.rng import gaussians, random_permutation
 from rtd.solver import SolverConfig
 from rtd.stego import StegoKey
 
@@ -59,6 +59,11 @@ CASES = [
      COUNT, np.int64(4)),
     ("random_semi_orthonormal_pair.r", lambda v: random_semi_orthonormal_pair(4, v, 0), BadRank,
      COUNT, np.int64(2)),
+    ("random_semi_orthonormal_pair.seed", lambda v: random_semi_orthonormal_pair(4, 2, v),
+     BadIndex, INDEX, np.uint64(7)),
+    ("random_permutation.seed", lambda v: random_permutation(5, v), BadIndex, INDEX,
+     np.int64(3)),
+    ("gaussians.seed", lambda v: gaussians(4, v), BadIndex, INDEX, np.uint64(7)),
     ("make_instance.n", lambda v: make_instance(v, 1, 2, 0), BadRank, COUNT, np.int64(4)),
     ("make_instance.r", lambda v: make_instance(4, v, 2, 0), BadRank, COUNT, np.int64(1)),
     ("make_instance.N", lambda v: make_instance(4, 1, v, 0), ValueError, COUNT, np.int64(2)),

@@ -12,7 +12,7 @@ def test_gray_8bit_roundtrip_on_levels(tmp_path):
     write_image(GrayImage(levels), path, maxval=255)
     back = read_image(path)
     assert isinstance(back, GrayImage)
-    assert back.height == 3 and back.width == 4 and back.channels == 1
+    assert back.height == 3 and back.width == 4
     assert np.array_equal(back.pixels, levels)
 
 
@@ -33,7 +33,6 @@ def test_rgb_roundtrip(tmp_path):
     back = read_image(path)
     assert isinstance(back, RgbImage)
     assert back.pixels.shape == (4, 6, 3)
-    assert back.channels == 3
     assert np.max(np.abs(back.pixels - img.pixels)) <= 0.5 / 255 + 1e-12
 
 
