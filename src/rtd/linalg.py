@@ -3,8 +3,9 @@
 The SVD itself is delegated to LAPACK (via numpy); everything here is
 defined by contract on the factors: reconstruction within 1e-8 relative,
 orthonormal columns within 1e-10.  The solver's thresholding can instead
-run a warm-started partial SVD (``WarmStart``), since its iterates are low
-rank and everything below the threshold is discarded anyway.
+run a partial SVD warm-started from a basis that each step hands to the
+next (``svt_with_values``), since its iterates are low rank and everything
+below the threshold is discarded anyway.
 """
 
 import math
@@ -60,29 +61,26 @@ def svt(M, alpha):
 
     This is the proximal operator of alpha * nuclear norm at M.
     """
-    out, _ = svt_with_values(M, alpha)
-    return out
+    return svt_with_values(M, alpha).out
 
 
-class WarmStart:
-    """Start basis that carries one matrix's right singular subspace from
-    one ``svt_with_values`` call to the next.
+@dataclass(frozen=True)
+class SvtStep:
+    """What one ``svt_with_values`` call did.
 
-    ``basis`` holds orthonormal columns of an n x w array.  Each call
-    leaves behind the kept right Ritz vectors plus the next OVERSAMPLE of
-    them.
+    ``out`` is the thresholded matrix and ``nuclear`` its nuclear norm, the
+    sum of the ``rank`` kept values S - alpha.  ``basis`` (n x w, orthonormal
+    columns) is the next call's warm start: the kept right singular vectors
+    plus the next OVERSAMPLE of them, as many as the factorization holds.
+    ``partial`` says whether ``_partial_svd`` was accepted, rather than the
+    full SVD run.
     """
 
-    def __init__(self, basis):
-        self.basis = basis
-
-    @classmethod
-    def seeded(cls, n, seed):
-        """Start from the orthonormalised Gaussian block n x
-        (OVERSAMPLE + TAIL_BELOW) drawn from ``seed``, the randomized range
-        finder of Halko, Martinsson and Tropp (2011, section 4.1), so the
-        first call runs ``_partial_svd`` too."""
-        return cls(_semi_orthonormal(n, OVERSAMPLE + TAIL_BELOW, seed))
+    out: np.ndarray
+    nuclear: float
+    rank: int
+    basis: np.ndarray
+    partial: bool
 
 
 # Ritz vectors kept beyond the kept rank, so the next call can see the rank grow.
@@ -123,28 +121,24 @@ def _partial_svd(M, alpha, V):
     return U, S, Wt @ Q.T
 
 
-def svt_with_values(M, alpha, warm=None):
-    """svt plus the thresholded singular values (their sum is the nuclear
-    norm of the result, which the solver logs for free).
+def svt_with_values(M, alpha, basis=None):
+    """svt as an ``SvtStep``, with the nuclear norm of the result (which
+    the solver logs for free) and the warm start of the next call.
 
-    ``values`` has length min(m, n).  Without ``warm`` this is an exact
-    full SVD.  With a ``WarmStart`` it is ``_partial_svd`` from its basis
-    (the subspace the previous call kept, or the start block), accurate to
-    the subspace iteration, and ``warm`` is advanced; the full SVD still
-    runs whenever ``_partial_svd`` returns None.
+    With ``basis=None`` this is an exact full SVD.  With a basis (the one
+    the previous step returned, or a start block such as the orthonormalised
+    Gaussian block of Halko, Martinsson and Tropp 2011, section 4.1) it is
+    ``_partial_svd`` from that basis, accurate to the subspace iteration;
+    the full SVD still runs whenever ``_partial_svd`` returns None.
     """
     M = _as_finite_matrix(M)
-    factors = None if warm is None else _partial_svd(M, alpha, warm.basis)
-    if factors is None:
-        factors = np.linalg.svd(M, full_matrices=False)
-    U, S, Vt = factors
+    factors = None if basis is None else _partial_svd(M, alpha, basis)
+    partial = factors is not None
+    U, S, Vt = factors if partial else np.linalg.svd(M, full_matrices=False)
     shrunk = S - alpha
     k = int((shrunk > 0.0).sum())  # S is nonincreasing, so the kept ones are a prefix
-    values = np.zeros(min(M.shape))
-    values[:k] = shrunk[:k]
-    if warm is not None:
-        warm.basis = np.ascontiguousarray(Vt[: k + OVERSAMPLE].T)
-    return (U[:, :k] * shrunk[:k]) @ Vt[:k, :], values
+    return SvtStep(out=(U[:, :k] * shrunk[:k]) @ Vt[:k, :], nuclear=float(shrunk[:k].sum()),
+                   rank=k, basis=np.ascontiguousarray(Vt[: k + OVERSAMPLE].T), partial=partial)
 
 
 def spectral_norm(M):

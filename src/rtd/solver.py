@@ -14,9 +14,9 @@ updated: one gather moves it on to the next component's layout, N gathers
 per sweep, and Y lives in component 0's layout.  A kappa that overflows
 float64 raises NonFinite.  The multiplier Y starts at zero, the usual ADMM
 start.  Each component's threshold is a partial SVD warm-started from the
-right singular subspace it kept in the previous sweep
-(``rtd.linalg.WarmStart``), and in the first sweep from a Gaussian block
-seeded by the component's index.
+right singular subspace it kept in the previous sweep (the ``basis`` of the
+``rtd.linalg.SvtStep`` that sweep returned), and in the first sweep from a
+Gaussian block seeded by the component's index.
 """
 
 import dataclasses
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceDetected, NonFinite, ShapeMismatch, check_count, check_positive
-from .linalg import WarmStart, binary_scaled, spectral_norm, svt_with_values
+from .linalg import OVERSAMPLE, TAIL_BELOW, _semi_orthonormal, binary_scaled
+from .linalg import spectral_norm, svt_with_values
 from .formats import csv_text
 from .reshuffle import cross_map
 from .rng import derive_seed
@@ -135,7 +136,7 @@ def default_kappa0(problem):
     With the multiplier at zero, the first sweep thresholds each start
     adjoint_i(X)/N plus what the earlier components left, so it keeps only
     the few singular values above 1/kappa0, and the seeded warm start
-    blocks (``rtd.linalg.WarmStart.seeded``) cover them.
+    blocks of width OVERSAMPLE + TAIL_BELOW cover them.
     """
     top = max(spectral_norm(op.adjoint(problem.X)) for op in problem.ops)
     if top == 0.0:
@@ -187,7 +188,8 @@ def decompose(problem, config=None):
     kappa_max = math.ldexp(sys.float_info.max, min(e, 0))
 
     comps = [np.ascontiguousarray(op.adjoint(X) / len(ops)) for op in ops]
-    warm = [WarmStart.seeded(op.n, derive_seed(0, i)) for i, op in enumerate(ops)]
+    bases = [_semi_orthonormal(op.n, OVERSAMPLE + TAIL_BELOW, derive_seed(0, i))
+             for i, op in enumerate(ops)]
     # The scaled copy of X becomes the running vector.  The components are
     # subtracted from it one at a time, not as X - observe(...): that order
     # sets the rounding every later iterate inherits.
@@ -209,14 +211,13 @@ def decompose(problem, config=None):
         objective = 0.0
         delta_sq = 0.0
         for i, op in enumerate(ops):
-            a_old = comps[i]
-            a_new, values = svt_with_values(r.reshape(op.m, op.n) + a_old, 1.0 / kappa, warm[i])
-            objective += float(values.sum())
-            d = a_new - a_old
+            step = svt_with_values(r.reshape(op.m, op.n) + comps[i], 1.0 / kappa, bases[i])
+            objective += step.nuclear
+            d = step.out - comps[i]
             delta_sq += float(np.vdot(d, d))
             r -= d.ravel()
             r = r[steps[i]]
-            comps[i] = a_new
+            comps[i], bases[i] = step.out, step.basis
         diff = r - y / kappa
         y += GAMMA * kappa * diff
         residual = float(np.linalg.norm(diff)) / scale

@@ -8,7 +8,7 @@ from rtd.linalg import (
     POWER_STEPS,
     RANK_CUTOFF,
     TAIL_BELOW,
-    WarmStart,
+    _semi_orthonormal,
     nuclear_norm,
     numerical_rank,
     random_semi_orthonormal_pair,
@@ -46,9 +46,10 @@ def test_svt_matches_scalar_shrinkage():
 
 def test_svt_values_are_thresholded_spectrum():
     M = np.diag([3.0, 1.0, 0.2])
-    out, values = svt_with_values(M, 0.5)
-    assert np.allclose(values, [2.5, 0.5, 0.0], atol=1e-12)
-    assert np.allclose(out, np.diag([2.5, 0.5, 0.0]), atol=1e-12)
+    step = svt_with_values(M, 0.5)
+    assert step.rank == 2 and not step.partial
+    assert step.nuclear == pytest.approx(3.0, abs=1e-12)
+    assert np.allclose(step.out, np.diag([2.5, 0.5, 0.0]), atol=1e-12)
 
 
 def test_svt_zero_alpha_is_identity():
@@ -58,9 +59,9 @@ def test_svt_zero_alpha_is_identity():
 
 def test_svt_large_alpha_gives_zero():
     M = random_matrix(4, 4, 3)
-    out, values = svt_with_values(M, 10.0 * spectral_norm(M))
-    assert not out.any()
-    assert not values.any()
+    step = svt_with_values(M, 10.0 * spectral_norm(M))
+    assert not step.out.any()
+    assert step.rank == 0 and step.nuclear == 0.0
 
 
 def prox_objective(Z, M, alpha):
@@ -154,20 +155,6 @@ def gapped_matrix(m, n, top, seed, tail=0.3):
 
 
 @pytest.fixture
-def partial_calls(monkeypatch):
-    """Results of every _partial_svd call: None means the full SVD ran."""
-    calls = []
-    real = linalg_mod._partial_svd
-
-    def spy(M, alpha, V):
-        calls.append(real(M, alpha, V))
-        return calls[-1]
-
-    monkeypatch.setattr(linalg_mod, "_partial_svd", spy)
-    return calls
-
-
-@pytest.fixture
 def qr_calls(monkeypatch):
     """Shapes of the blocks orthonormalised while thresholding."""
     calls = []
@@ -195,108 +182,127 @@ def gaussian_draws(monkeypatch):
     return draws
 
 
-def test_warm_partial_svt_matches_full(partial_calls, qr_calls):
+def test_warm_partial_svt_matches_full(qr_calls):
     for m, n, seed in ((80, 60, 1), (60, 80, 2), (100, 100, 3)):
         M = gapped_matrix(m, n, [9.0, 7.0, 5.0, 4.0, 3.0], seed)
         nearby = M + 0.01 * gaussians(m * n, derive_seed(seed, 7)).reshape(m, n)
         # A one-column block misses, so the first call takes the full SVD.
-        warm = WarmStart(orthonormal(n, 1, seed))
-        svt_with_values(nearby, 1.0, warm)
-        assert partial_calls[-1] is None
-        assert warm.basis.shape == (n, 5 + OVERSAMPLE)
-        partial_calls.clear()
+        first = svt_with_values(nearby, 1.0, orthonormal(n, 1, seed))
+        assert not first.partial
+        assert first.basis.shape == (n, 5 + OVERSAMPLE)
         qr_calls.clear()
-        out, values = svt_with_values(M, 1.0, warm)
-        assert partial_calls[-1] is not None
+        step = svt_with_values(M, 1.0, first.basis)
+        assert step.partial
         # One QR per power step, none for the Rayleigh-Ritz step.
         assert qr_calls == [(n, 5 + OVERSAMPLE)] * POWER_STEPS
-        expect, expect_values = svt_with_values(M, 1.0)
-        assert values.shape == (min(m, n),)
-        assert np.abs(out - expect).max() <= 1e-8
-        assert np.abs(values - expect_values).max() <= 1e-8
-        assert warm.basis.shape == (n, 5 + OVERSAMPLE)
+        expect = svt_with_values(M, 1.0)
+        assert step.rank == expect.rank == 5
+        assert np.abs(step.out - expect.out).max() <= 1e-8
+        assert abs(step.nuclear - expect.nuclear) <= 1e-8
+        assert step.basis.shape == (n, 5 + OVERSAMPLE)
 
 
-def test_seeded_warm_start_thresholds_its_first_call_partially(partial_calls):
+def test_seeded_warm_start_thresholds_its_first_call_partially():
     width = OVERSAMPLE + TAIL_BELOW
     for m, n, seed in ((80, 60, 4), (60, 80, 5), (100, 100, 6)):
-        warm = WarmStart.seeded(n, seed)
+        start = _semi_orthonormal(n, width, seed)
         # An orthonormal Gaussian block, a pure function of the seed.
-        assert warm.basis.shape == (n, width)
-        assert np.abs(warm.basis.T @ warm.basis - np.eye(width)).max() <= 1e-12
-        assert np.array_equal(WarmStart.seeded(n, seed).basis, warm.basis)
-        assert not np.array_equal(WarmStart.seeded(n, seed + 1).basis, warm.basis)
+        assert start.shape == (n, width)
+        assert np.abs(start.T @ start - np.eye(width)).max() <= 1e-12
+        assert np.array_equal(_semi_orthonormal(n, width, seed), start)
+        assert not np.array_equal(_semi_orthonormal(n, width, seed + 1), start)
         M = gapped_matrix(m, n, [9.0, 7.0, 5.0], seed, tail=0.01)
-        out, values = svt_with_values(M, 1.0, warm)
-        assert partial_calls[-1] is not None
-        expect, expect_values = svt_with_values(M, 1.0)
-        assert np.abs(out - expect).max() <= 1e-8
-        assert np.abs(values - expect_values).max() <= 1e-8
-        assert warm.basis.shape == (n, width)
+        step = svt_with_values(M, 1.0, start)
+        assert step.partial
+        expect = svt_with_values(M, 1.0)
+        assert step.rank == expect.rank == 3
+        assert np.abs(step.out - expect.out).max() <= 1e-8
+        assert abs(step.nuclear - expect.nuclear) <= 1e-8
+        assert step.basis.shape == (n, width)
 
 
-def test_partial_svt_missed_block_runs_the_full_svd(partial_calls, gaussian_draws):
+def test_svt_step_records_what_it_did():
+    # Three singular values above alpha.  A block with room for the kept
+    # rank, OVERSAMPLE and TAIL_BELOW vectors is accepted; a one-column block
+    # misses the tail and the full SVD runs.
+    alpha = 1.0
+    for m, n, seed in ((80, 60, 11), (60, 80, 12)):
+        M = gapped_matrix(m, n, [9.0, 7.0, 5.0], seed, tail=0.01)
+        S = np.linalg.svd(M, compute_uv=False)
+        kept = S[S > alpha] - alpha
+        accepted = svt_with_values(M, alpha, orthonormal(n, 3 + OVERSAMPLE + TAIL_BELOW, seed))
+        missed = svt_with_values(M, alpha, orthonormal(n, 1, seed))
+        assert accepted.partial and not missed.partial
+        for step in (accepted, missed):
+            assert step.rank == kept.size == 3
+            assert step.nuclear == pytest.approx(kept.sum(), rel=1e-12)
+            assert step.basis.shape == (n, step.rank + OVERSAMPLE)
+            assert np.abs(step.basis.T @ step.basis - np.eye(step.rank + OVERSAMPLE)).max() <= 1e-12
+        assert np.abs(accepted.out - svt(M, alpha)).max() <= 1e-8
+        assert np.array_equal(missed.out, svt(M, alpha))
+
+
+def test_partial_svt_missed_block_runs_the_full_svd(gaussian_draws):
     # Ten singular values above alpha: a 3-column block misses the tail, and
     # the full SVD runs in place of a wider block.
     M = gapped_matrix(120, 120, np.arange(11.0, 1.0, -1.0), 4, tail=0.01)
-    warm = WarmStart(orthonormal(120, 3, 5))
-    out, values = svt_with_values(M, 0.5, warm)
-    assert partial_calls == [None] and gaussian_draws == []
-    expect, expect_values = svt_with_values(M, 0.5)
-    assert np.array_equal(out, expect)
-    assert np.array_equal(values, expect_values)
-    assert warm.basis.shape == (120, 10 + OVERSAMPLE)
+    step = svt_with_values(M, 0.5, orthonormal(120, 3, 5))
+    assert not step.partial and gaussian_draws == []
+    expect = svt_with_values(M, 0.5)
+    assert np.array_equal(step.out, expect.out)
+    assert step.nuclear == expect.nuclear and step.rank == expect.rank == 10
+    assert step.basis.shape == (120, 10 + OVERSAMPLE)
 
 
-def test_partial_svt_falls_back_above_half_size(partial_calls, qr_calls, gaussian_draws):
+def test_partial_svt_falls_back_above_half_size(qr_calls, gaussian_draws):
     M = random_matrix(40, 40, 6)
     expect = svt(M, 1e-3)
     # A start block wider than min(m, n) // 2 goes straight to the full SVD.
-    warm = WarmStart(orthonormal(40, 21, 7))
-    assert np.array_equal(svt_with_values(M, 1e-3, warm)[0], expect)
-    assert partial_calls == [None] and qr_calls == [] and gaussian_draws == []
+    step = svt_with_values(M, 1e-3, orthonormal(40, 21, 7))
+    assert np.array_equal(step.out, expect)
+    assert not step.partial and qr_calls == [] and gaussian_draws == []
     # A block of half the size runs the subspace iteration.  A full-rank
     # matrix misses with any block, and the full SVD runs once.
-    warm.basis = orthonormal(40, 20, 7)
-    assert np.array_equal(svt_with_values(M, 1e-3, warm)[0], expect)
-    assert partial_calls == [None, None] and gaussian_draws == []
+    step = svt_with_values(M, 1e-3, orthonormal(40, 20, 7))
+    assert np.array_equal(step.out, expect)
+    assert not step.partial and gaussian_draws == []
     assert qr_calls == [(40, 20)] * POWER_STEPS
 
 
-def test_warm_partial_svt_keeps_a_wide_dynamic_range(partial_calls):
+def test_warm_partial_svt_keeps_a_wide_dynamic_range():
     # Kept singular values down to 1e-4 relative, far above the sqrt(eps)
     # limit of squaring the spectrum within a power step.
     top = [1.0, 1e-1, 1e-2, 1e-3, 1e-4]
     for m, n, seed in ((100, 100, 1), (80, 60, 2), (60, 80, 3)):
         M = gapped_matrix(m, n, top, seed, tail=1e-6)
         nearby = M + 1e-7 * gaussians(m * n, derive_seed(seed, 7)).reshape(m, n)
-        warm = WarmStart.seeded(n, seed)
-        svt_with_values(nearby, 5e-5, warm)
-        out, values = svt_with_values(M, 5e-5, warm)
-        assert partial_calls[-1] is not None
-        expect, expect_values = svt_with_values(M, 5e-5)
-        assert np.linalg.norm(out - expect) <= 1e-12 * np.linalg.norm(expect)
-        assert np.abs(values - expect_values).max() <= 1e-12 * expect_values[0]
+        first = svt_with_values(nearby, 5e-5, _semi_orthonormal(n, OVERSAMPLE + TAIL_BELOW, seed))
+        step = svt_with_values(M, 5e-5, first.basis)
+        assert step.partial
+        expect = svt_with_values(M, 5e-5)
+        assert step.rank == expect.rank == 5
+        assert np.linalg.norm(step.out - expect.out) <= 1e-12 * np.linalg.norm(expect.out)
+        assert abs(step.nuclear - expect.nuclear) <= 1e-12 * spectral_norm(expect.out)
 
 
-def test_partial_svt_large_alpha_gives_zero(partial_calls):
+def test_partial_svt_large_alpha_gives_zero():
     M = gapped_matrix(64, 64, [4.0, 2.0], 8)
-    warm = WarmStart(orthonormal(64, OVERSAMPLE, 9))
-    out, values = svt_with_values(M, spectral_norm(M), warm)
-    assert partial_calls[-1] is not None
-    assert not out.any()
-    assert values.shape == (64,) and not values.any()
-    assert warm.basis.shape == (64, OVERSAMPLE)
+    step = svt_with_values(M, spectral_norm(M), orthonormal(64, OVERSAMPLE, 9))
+    assert step.partial
+    assert not step.out.any()
+    assert step.rank == 0 and step.nuclear == 0.0
+    assert step.basis.shape == (64, OVERSAMPLE)
 
 
 def test_partial_svt_reruns_identical():
     def run():
-        warm = WarmStart(orthonormal(96, 2, 3))
+        basis = orthonormal(96, 2, 3)
         outs = []
         for seed in range(4):
             M = gapped_matrix(96, 96, np.arange(8.0, 0.0, -1.0), 10 + seed)
-            out, values = svt_with_values(M, 0.5, warm)
-            outs += [out.tobytes(), values.tobytes(), warm.basis.tobytes()]
+            step = svt_with_values(M, 0.5, basis)
+            basis = step.basis
+            outs += [step.out.tobytes(), step.nuclear, step.rank, step.partial, basis.tobytes()]
         return outs
 
     assert run() == run()

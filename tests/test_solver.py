@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -106,9 +107,9 @@ def test_deterministic_reruns():
 def test_divergence_detected(monkeypatch):
     real = solver_mod.svt_with_values
 
-    def amplify(M, alpha, warm=None):
-        out, values = real(M, alpha, warm)
-        return 10.0 * out, values
+    def amplify(M, alpha, basis=None):
+        step = real(M, alpha, basis)
+        return dataclasses.replace(step, out=10 * step.out)
 
     monkeypatch.setattr(solver_mod, "svt_with_values", amplify)
     problem, _ = two_component_problem()
@@ -184,19 +185,19 @@ def test_running_vector_matches_the_plain_update(problem, monkeypatch):
 def test_first_two_sweeps_take_no_full_svd(monkeypatch):
     # Y = 0 and a seeded Gaussian start block keep the first thresholds low
     # rank, so every one of them is a partial SVD.
-    results = []
-    real = linalg_mod._partial_svd
+    steps = []
+    real = solver_mod.svt_with_values
 
-    def spy(M, alpha, V):
-        results.append(real(M, alpha, V))
-        return results[-1]
+    def spy(M, alpha, basis=None):
+        steps.append(real(M, alpha, basis))
+        return steps[-1]
 
-    monkeypatch.setattr(linalg_mod, "_partial_svd", spy)
+    monkeypatch.setattr(solver_mod, "svt_with_values", spy)
     for seed in range(3):
         _, ops, X = make_instance(60, 2, 2, seed)
-        results.clear()
+        steps.clear()
         decompose(Problem(X, ops), SolverConfig(max_iter=2, tol=1e-30))
-        assert len(results) == 4 and None not in results, seed
+        assert len(steps) == 4 and all(step.partial for step in steps), seed
 
 
 def test_kappa_overflow_raises_nonfinite(monkeypatch):
