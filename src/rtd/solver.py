@@ -133,10 +133,11 @@ def default_kappa0(problem):
     Starting the threshold high keeps every iterate genuinely low rank
     while kappa grows; starting it low lets one component absorb the
     whole observation and stall the residual at a feasible, wrong split.
-    With the multiplier at zero, the first sweep thresholds each start
-    adjoint_i(X)/N plus what the earlier components left, so it keeps only
-    the few singular values above 1/kappa0, and the seeded warm start
-    blocks of width OVERSAMPLE + TAIL_BELOW cover them.
+    With the multiplier and the components at zero, the first sweep
+    thresholds adjoint_0(X), then for each later component adjoint_i of
+    what the earlier ones left of X, so it keeps only the few singular
+    values above 1/kappa0, and the seeded warm start blocks of width
+    OVERSAMPLE + TAIL_BELOW cover them.
     """
     top = max(spectral_norm(op.adjoint(problem.X)) for op in problem.ops)
     if top == 0.0:
@@ -147,8 +148,8 @@ def default_kappa0(problem):
 def decompose(problem, config=None):
     """Run the alternating singular-value-thresholding scheme.
 
-    Initialization: Y = 0, A_i = adjoint_i(X)/N, kappa = default_kappa0, and
-    component i's warm start block seeded by i alone.
+    Initialization: Y = 0, A_i = 0 (the usual ADMM start), kappa =
+    default_kappa0, and component i's warm start block seeded by i alone.
     Each iteration, for i = 1..N in order and using the freshest A_j:
 
         A_i <- svt( adjoint_i( X - sum_{j != i} R_j(A_j) + Y/kappa ), 1/kappa )
@@ -187,20 +188,14 @@ def decompose(problem, config=None):
     kappa = float(default_kappa0(Problem(X, ops)))
     kappa_max = math.ldexp(sys.float_info.max, min(e, 0))
 
-    comps = [np.ascontiguousarray(op.adjoint(X) / len(ops)) for op in ops]
+    comps = [np.zeros((op.m, op.n)) for op in ops]
     bases = [_semi_orthonormal(op.n, OVERSAMPLE + TAIL_BELOW, derive_seed(0, i))
              for i, op in enumerate(ops)]
-    # The scaled copy of X becomes the running vector.  The components are
-    # subtracted from it one at a time, not as X - observe(...): that order
-    # sets the rounding every later iterate inherits.
-    r = X
-    for op, a in zip(ops, comps):
-        r -= op.apply(a)
-    # From here r and y are flat, in a component's matrix layout: steps[i]
-    # gathers component i's layout into the next one's, and the last step
-    # wraps round to component 0, where each sweep starts and ends.
+    # r and y are flat, in a component's matrix layout: steps[i] gathers
+    # component i's layout into the next one's, and the last step wraps
+    # round to component 0, where each sweep starts and ends.
     steps = [cross_map(ops[(i + 1) % len(ops)], op) for i, op in enumerate(ops)]
-    r = ops[0].adjoint(r).ravel()
+    r = ops[0].adjoint(X).ravel()
     y = np.zeros_like(r)
 
     residuals, objectives, kappas, duals = [], [], [], []
