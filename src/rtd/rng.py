@@ -147,8 +147,10 @@ def gaussians(count, seed):
     Pair t consumes stream outputs 2t+1 and 2t+2:
     u1 = 1 - (out >> 11) * 2**-53 in (0, 1], u2 = (out >> 11) * 2**-53 in
     [0, 1); the pair yields r*cos(2*pi*u2), r*sin(2*pi*u2) with
-    r = sqrt(-2 ln u1).  The seed must pass ``check_seed``.
+    r = sqrt(-2 ln u1).  ``count`` must be an integer >= 0, or
+    ShapeMismatch, and the seed pass ``check_seed``.
     """
+    count = check_count(count, ShapeMismatch, "count", low=0)
     seed = check_seed(seed)
     pairs = (count + 1) // 2
     if pairs == 0:

@@ -64,6 +64,7 @@ CASES = [
     ("random_permutation.seed", lambda v: random_permutation(5, v), BadIndex, INDEX,
      np.int64(3)),
     ("gaussians.seed", lambda v: gaussians(4, v), BadIndex, INDEX, np.uint64(7)),
+    ("gaussians.count", lambda v: gaussians(v, 0), ShapeMismatch, INDEX, np.int64(5)),
     ("make_instance.n", lambda v: make_instance(v, 1, 2, 0), BadRank, COUNT, np.int64(4)),
     ("make_instance.r", lambda v: make_instance(4, v, 2, 0), BadRank, COUNT, np.int64(1)),
     ("make_instance.N", lambda v: make_instance(4, 1, v, 0), ValueError, COUNT, np.int64(2)),
