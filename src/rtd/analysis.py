@@ -35,28 +35,31 @@ def tsir(true_components, est_components):
     signal energy scores 300.  The energies are taken at the power-of-two
     scale of the references' largest entry, so the ratio is the same for
     both lists scaled by any power of two, and does not under- or overflow
-    at extreme magnitudes.
+    at extreme magnitudes.  Only where the estimates' largest entry is over
+    2**256 times the references' (a ratio below about -1,500 dB) is the
+    error energy taken at a coarser power of two, so it cannot overflow.
     """
     if len(true_components) != len(est_components):
         raise ShapeMismatch(
             f"component counts differ: {len(true_components)} vs {len(est_components)}"
         )
     true_components = [np.asarray(a, dtype=np.float64) for a in true_components]
+    est_components = [np.asarray(b, dtype=np.float64) for b in est_components]
     e = _scale_exponent(true_components)
+    f = max(e, _scale_exponent(est_components) - 256)
     num = den = 0.0
     for a, b in zip(true_components, est_components):
-        b = np.asarray(b, dtype=np.float64)
         if a.shape != b.shape:
             raise ShapeMismatch(f"component shapes differ: {a.shape} vs {b.shape}")
-        d = np.ldexp(a, -e)
-        num += np.linalg.norm(d) ** 2
-        d -= np.ldexp(b, -e)
+        num += np.linalg.norm(np.ldexp(a, -e)) ** 2
+        d = np.ldexp(a, -f)
+        d -= np.ldexp(b, -f)
         den += np.linalg.norm(d) ** 2
     if num == 0.0:
         raise AllZeroSignal("reference signal has zero energy")
     if den <= num * 10.0 ** (-DB_CAP / 10.0):
         return DB_CAP
-    return 10.0 * np.log10(num / den)
+    return 10.0 * np.log10(num / den) - 20.0 * (f - e) * np.log10(2.0)
 
 
 def sir(reference, estimate):

@@ -90,6 +90,15 @@ def test_tsir_and_component_count_do_not_change_with_scale():
         assert estimate_component_count([c * a for a in comps], 0.1) == count, c
 
 
+def test_tsir_of_an_estimate_far_larger_than_its_reference_is_finite():
+    # pytest turns warnings into errors here, so an overflow in the error
+    # energy fails.  The ratio is (1e-300 / 1e10)**2, -6,200 dB.
+    for c in (1.0, 2.0**-20, 2.0**900):
+        got = tsir([c * 1e-300 * np.ones(4)], [c * 1e10 * np.ones(4)])
+        assert got == pytest.approx(-6200.0, abs=1e-9), c
+    assert tsir([1e-308 * np.ones(4)], [-1e308 * np.ones(4)]) == pytest.approx(-12320.0, abs=1e-9)
+
+
 def test_recovery_bound_values():
     assert recovery_bound_min_n(1, 1) == 2
     assert recovery_bound_min_n(2, 1) == 17
