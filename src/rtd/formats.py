@@ -27,6 +27,7 @@ their repr, so they read back bit for bit, and anything else as str.
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from .errors import MalformedHeader
 from .reshuffle import ReshuffleOp
 
 TENSOR_MAGIC = "rtd-tensor v1"
+# Longest tensor header line read: a shape line for NumPy's 64 dimensions,
+# each below 2**63, takes under 1.3 KB.
+HEADER_LINE_MAX = 4096
 OPS_MAGIC = "rtd-ops v1"
 
 
@@ -46,29 +50,33 @@ def write_tensor(X, path):
 
 
 def read_tensor(path):
+    """The tensor in the file at ``path``.  The three header lines are
+    checked, and the payload's size against the shape, before the payload
+    is read; any mismatch raises MalformedHeader."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    *lines, payload = data.split(b"\n", 3)
-    if len(lines) < 3:
-        raise MalformedHeader("truncated header")
-    lines = [ln.decode("ascii", errors="replace") for ln in lines]
-    if lines[0] != TENSOR_MAGIC:
-        raise MalformedHeader(f"bad magic line {lines[0]!r}")
-    fields = lines[1].split()
-    if len(fields) < 2 or fields[0] != "shape":
-        raise MalformedHeader(f"bad shape line {lines[1]!r}")
-    try:
-        ndim = int(fields[1])
-        shape = tuple(int(v) for v in fields[2:])
-    except ValueError:
-        raise MalformedHeader(f"non-numeric shape line {lines[1]!r}") from None
-    if len(shape) != ndim or ndim < 1 or any(e < 1 for e in shape):
-        raise MalformedHeader(f"inconsistent shape line {lines[1]!r}")
-    if lines[2] != "dtype f64":
-        raise MalformedHeader(f"unsupported dtype line {lines[2]!r}")
-    count = math.prod(shape)
-    if len(payload) != count * 8:
-        raise MalformedHeader(f"payload is {len(payload)} bytes, expected {count * 8}")
+        lines = [fh.readline(HEADER_LINE_MAX) for _ in range(3)]
+        if not all(ln.endswith(b"\n") for ln in lines):
+            raise MalformedHeader("truncated or overlong header")
+        lines = [ln[:-1].decode("ascii", errors="replace") for ln in lines]
+        if lines[0] != TENSOR_MAGIC:
+            raise MalformedHeader(f"bad magic line {lines[0]!r}")
+        fields = lines[1].split()
+        if len(fields) < 2 or fields[0] != "shape":
+            raise MalformedHeader(f"bad shape line {lines[1]!r}")
+        try:
+            ndim = int(fields[1])
+            shape = tuple(int(v) for v in fields[2:])
+        except ValueError:
+            raise MalformedHeader(f"non-numeric shape line {lines[1]!r}") from None
+        if len(shape) != ndim or ndim < 1 or any(e < 1 for e in shape):
+            raise MalformedHeader(f"inconsistent shape line {lines[1]!r}")
+        if lines[2] != "dtype f64":
+            raise MalformedHeader(f"unsupported dtype line {lines[2]!r}")
+        count = math.prod(shape)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != count * 8:
+            raise MalformedHeader(f"payload is {size} bytes, expected {count * 8}")
+        payload = fh.read()
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,29 @@ def test_read_tensor_overflowing_shape_is_malformed(tmp_path):
     path.write_bytes(f"{TENSOR_MAGIC}\nshape 2 4294967296 4294967296\ndtype f64\n".encode())
     with pytest.raises(MalformedHeader):
         read_tensor(path)
+
+
+def test_read_tensor_checks_the_header_before_reading_the_payload(tmp_path):
+    # Sparse 64 MiB files: a bad magic line, a payload of the wrong size and
+    # a header line that never ends are refused with the payload unread.
+    cases = {
+        "magic": b"rtd-tensor v0\nshape 1 1000\ndtype f64\n",
+        "size": f"{TENSOR_MAGIC}\nshape 1 1000\ndtype f64\n".encode(),
+        "endless": f"{TENSOR_MAGIC}\n".encode(),
+    }
+    for name, header in cases.items():
+        path = tmp_path / f"{name}.rtd"
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.truncate(64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedHeader):
+                read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, name
 
 
 def test_ops_roundtrip(tmp_path):
