@@ -12,11 +12,11 @@ The sweep carries one running vector, the scaled residual
 X - sum_i R_i(A_i) + Y/kappa, in the matrix layout of the component being
 updated: one gather moves it on to the next component's layout, N gathers
 per sweep, and Y lives in component 0's layout.  A kappa that overflows
-float64 raises NonFinite.  The multiplier Y starts at zero, the usual ADMM
-start.  Each component's threshold is a partial SVD warm-started from the
-right singular subspace it kept in the previous sweep (the ``basis`` of the
-``rtd.linalg.SvtStep`` that sweep returned), and in the first sweep from a
-Gaussian block seeded by the component's index.
+float64 raises NonFinite.  The multiplier Y and the components start at
+zero, the usual ADMM start.  Each component's threshold is a partial SVD
+warm-started from the right singular subspace it kept in the previous sweep
+(the ``basis`` of the ``rtd.linalg.SvtStep`` that sweep returned), and in
+the first sweep from a Gaussian block seeded by the component's index.
 """
 
 import dataclasses
@@ -206,13 +206,13 @@ def decompose(problem, config=None):
         objective = 0.0
         delta_sq = 0.0
         for i, op in enumerate(ops):
-            step = svt_with_values(r.reshape(op.m, op.n) + comps[i], 1.0 / kappa, bases[i])
-            objective += step.nuclear
-            d = step.out - comps[i]
+            svt_step = svt_with_values(r.reshape(op.m, op.n) + comps[i], 1.0 / kappa, bases[i])
+            objective += svt_step.nuclear
+            d = svt_step.out - comps[i]
             delta_sq += float(np.vdot(d, d))
             r -= d.ravel()
             r = r[steps[i]]
-            comps[i], bases[i] = step.out, step.basis
+            comps[i], bases[i] = svt_step.out, svt_step.basis
         diff = r - y / kappa
         y += GAMMA * kappa * diff
         residual = float(np.linalg.norm(diff)) / scale
