@@ -50,9 +50,10 @@ def write_tensor(X, path):
 
 
 def read_tensor(path):
-    """The tensor in the file at ``path``.  The three header lines are
-    checked, and the payload's size against the shape, before the payload
-    is read; any mismatch raises MalformedHeader."""
+    """The tensor in the regular file at ``path``.  The three header lines
+    are checked, and the payload's size (from ``os.fstat``) against the
+    shape, before the payload is read; any mismatch raises MalformedHeader.
+    A pipe has no size to check and fails to seek (OSError)."""
     with open(path, "rb") as fh:
         lines = [fh.readline(HEADER_LINE_MAX) for _ in range(3)]
         if not all(ln.endswith(b"\n") for ln in lines):
