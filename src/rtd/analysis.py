@@ -146,7 +146,6 @@ def _ascend(M, basis, cross, dst_shape, iters):
         return spectral_norm(mapped.reshape(dst_shape))
 
     best = value(M)
-    done = False
     for _ in range(iters):
         mapped[cross] = M.ravel()
         u, w = _leading_pair(mapped.reshape(dst_shape))
@@ -163,10 +162,9 @@ def _ascend(M, basis, cross, dst_shape, iters):
             if v > step_best + 1e-15:
                 step_best, step_M = v, cand
         if step_M is None:
-            done = True
-            break
+            return best, True
         best, M = step_best, step_M
-    return best, done
+    return best, False
 
 
 def incoherence_lower_bound(A, ops, i, restarts=8, iters=50, seed=0):
@@ -198,19 +196,11 @@ def incoherence_lower_bound(A, ops, i, restarts=8, iters=50, seed=0):
         g = gaussians(A.size, derive_seed(seed, t)).reshape(A.shape)
         M0 = tangent_project(basis, g)
         norm = spectral_norm(M0)
-        if norm == 0.0:
-            restart_values.append(0.0)
-            converged.append(True)
-            continue
-        M0 /= norm
-        best = 0.0
-        done_all = True
-        for cross, dst_shape in crosses:
-            val, done = _ascend(M0.copy(), basis, cross, dst_shape, iters)
-            best = max(best, val)
-            done_all = done_all and done
-        restart_values.append(best)
-        converged.append(done_all)
+        # A zero start has no direction to ascend: it scores 0, converged.
+        ascents = [_ascend(M0 / norm, basis, cross, dst_shape, iters)
+                   for cross, dst_shape in crosses if norm > 0.0]
+        restart_values.append(max((val for val, _ in ascents), default=0.0))
+        converged.append(all(done for _, done in ascents))
     return IncoherenceEstimate(max(restart_values), restarts, restart_values, converged)
 
 

@@ -34,7 +34,7 @@ from .experiments import (
     run_phase_grid,
 )
 from .formats import read_ops, read_tensor, write_tensor
-from .netpbm import GrayImage, RgbImage, read_image, write_image
+from .netpbm import GrayImage, read_image, write_image
 from .solver import Problem, SolverConfig, decompose, history_csv
 from .stego import MODES as STEGO_MODES
 from .stego import conceal, metrics_csv, read_key, reveal, write_key
@@ -176,10 +176,6 @@ def cmd_dropout(args):
 def cmd_hide(args):
     cover = read_image(args.cover)
     secret = read_image(args.secret)
-    if not isinstance(cover, GrayImage):
-        raise DimMismatch(f"cover must be a grayscale PGM: {args.cover}")
-    if not isinstance(secret, RgbImage):
-        raise DimMismatch(f"secret must be a color PPM: {args.secret}")
     container, key = conceal(cover, secret, **_flag_values(conceal, args))
     # An exact (float) container is written at 16 bits.
     write_image(container, args.out, maxval=container.maxval or 65535)
@@ -190,8 +186,6 @@ def cmd_hide(args):
 def cmd_reveal(args):
     key = read_key(args.key)
     container = read_image(args.container)
-    if not isinstance(container, GrayImage):
-        raise DimMismatch(f"container must be a grayscale PGM: {args.container}")
     ref_secret = read_image(args.ref_secret) if args.ref_secret else None
     ref_cover = read_image(args.ref_cover) if args.ref_cover else None
     secret_est, cover_est, metrics = reveal(

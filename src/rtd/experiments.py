@@ -140,14 +140,15 @@ class PhaseGrid:
     bound_flags: np.ndarray
 
 
-def _bound_flags(spec, invalid):
-    """Mark, per rank row, the first cell at or past the theoretical minimum size."""
-    flags = np.zeros(invalid.shape, dtype=bool)
+def _bound_flags(spec, shape):
+    """Mark, per rank row, the first cell at or past the theoretical minimum
+    size; such a cell has n > r, so it is never invalid."""
+    flags = np.zeros(shape, dtype=bool)
     for row, r in enumerate(spec.ranks):
         inside = []
         for col in range(len(spec.axis)):
             n, _, N = spec.cell_params(row, col)
-            if not invalid[row, col] and n >= recovery_bound_min_n(N, r):
+            if n >= recovery_bound_min_n(N, r):
                 inside.append(col)
         if inside:
             col = min(inside) if spec.mode == "rank_vs_size" else max(inside)
@@ -173,7 +174,7 @@ def run_phase_grid(spec, threads=1):
     cells = np.full(shape, np.nan)
     for cell, values in _run_cells(spec, _phase_trial, grid, threads):
         cells[cell] = np.mean(values)
-    return PhaseGrid(spec, cells, invalid, _bound_flags(spec, invalid))
+    return PhaseGrid(spec, cells, invalid, _bound_flags(spec, shape))
 
 
 def phase_csv(grid):

@@ -198,11 +198,14 @@ def decompose(problem, config=None):
     r = ops[0].adjoint(X).ravel()
     y = np.zeros_like(r)
 
-    residuals, objectives, kappas, duals = [], [], [], []
-    converged = False
-    divergence_ref = None
-
+    # One (residual, objective, kappa, dual) record per sweep.
+    history = []
     for k in range(1, config.max_iter + 1):
+        if k > 1:
+            kappa *= RHO
+            if kappa > kappa_max:
+                raise NonFinite(f"kappa overflows float64 before iteration {k}")
+            r = diff + y / kappa
         objective = 0.0
         delta_sq = 0.0
         for i, op in enumerate(ops):
@@ -216,36 +219,24 @@ def decompose(problem, config=None):
         diff = r - y / kappa
         y += GAMMA * kappa * diff
         residual = float(np.linalg.norm(diff)) / scale
+        history.append((residual, objective, kappa, kappa * math.sqrt(delta_sq) / scale))
 
-        residuals.append(residual)
-        objectives.append(objective)
-        kappas.append(kappa)
-        duals.append(kappa * math.sqrt(delta_sq) / scale)
-
-        if divergence_ref is None:
-            divergence_ref = max(residual, config.tol)
-        if not math.isfinite(residual) or residual > DIVERGENCE_FACTOR * divergence_ref:
+        if (not math.isfinite(residual)
+                or residual > DIVERGENCE_FACTOR * max(history[0][0], config.tol)):
             raise DivergenceDetected(
                 f"residual {residual:.3e} exceeds {DIVERGENCE_FACTOR:.0e} x initial at iteration {k}"
             )
         if residual <= config.tol:
-            converged = True
             break
-        if k < config.max_iter:
-            kappa *= RHO
-            if kappa > kappa_max:
-                raise NonFinite(f"kappa overflows float64 before iteration {k + 1}")
-            r = diff + y / kappa
 
-    # A history entry too large for float64 in the units of X becomes inf.
+    # Back to the units of X (the residual is relative: its column is scaled
+    # by 2**0); an entry too large for float64 there becomes inf.
     with np.errstate(over="ignore"):
-        objectives = np.ldexp(objectives, e).tolist()
-        kappas = np.ldexp(kappas, -e).tolist()
-        duals = np.ldexp(duals, -e).tolist()
+        residuals, objectives, kappas, duals = np.ldexp(history, [0, e, -e, -e]).T.tolist()
     return SolverResult(
         components=[np.ldexp(a, e) for a in comps],
         iterations=len(residuals),
-        converged=converged,
+        converged=residual <= config.tol,
         residual_history=residuals,
         objective_history=objectives,
         kappa_history=kappas,

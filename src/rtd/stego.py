@@ -113,14 +113,16 @@ def _reveal_config(container, config):
 def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
     """Decompose the container back into cover and secret estimates.
 
-    The container is a GrayImage whose maxval (255 or 65535) is the
-    precision its pixels were rounded to, or None when they are exact; a
-    rounded container stops at its rounding floor.  Channel estimates are
-    divided by the key strength and clamped to [0, 1].  Metrics always
-    carry the solver diagnostics, the tolerance in effect and why the
-    solve stopped; reference images add SIR numbers for whatever they
-    cover.
+    The container is a GrayImage (DimMismatch otherwise) whose maxval (255
+    or 65535) is the precision its pixels were rounded to, or None when they
+    are exact; a rounded container stops at its rounding floor.  Channel
+    estimates are divided by the key strength and clamped to [0, 1].
+    Metrics always carry the solver diagnostics, the tolerance in effect
+    and why the solve stopped; reference images add SIR numbers for
+    whatever they cover.
     """
+    if not isinstance(container, GrayImage):
+        raise DimMismatch("reveal needs a GrayImage container")
     if container.pixels.shape != key.cover_dims:
         raise KeyMismatch(
             f"container is {container.pixels.shape}, key says {key.cover_dims}"

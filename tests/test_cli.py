@@ -609,7 +609,7 @@ def test_hide_rejects_gray_secret_and_reveal_rejects_color_container(tmp_path, c
         "hide", "--cover", str(cover_path), "--secret", str(cover_path),
         "--out", str(tmp_path / "c.pgm"), "--key", str(key),
     ]) == 2
-    assert "rtd: secret must be a color PPM" in capsys.readouterr().err
+    assert "rtd: conceal needs a GrayImage cover and an RgbImage secret" in capsys.readouterr().err
     assert main([
         "hide", "--cover", str(cover_path), "--secret", str(secret_path),
         "--out", str(tmp_path / "c.pgm"), "--key", str(key),
@@ -619,7 +619,7 @@ def test_hide_rejects_gray_secret_and_reveal_rejects_color_container(tmp_path, c
         "reveal", "--container", str(secret_path), "--key", str(key),
         "--out", str(tmp_path / "s.ppm"),
     ]) == 2
-    assert "rtd: container must be a grayscale PGM" in capsys.readouterr().err
+    assert "rtd: reveal needs a GrayImage container" in capsys.readouterr().err
     assert not (tmp_path / "s.ppm").exists()
 
 
