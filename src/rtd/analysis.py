@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AllZeroSignal, BadIndex, DegenerateRank, ShapeMismatch, check_count, check_positive,
+    AllZeroSignal, BadIndex, DegenerateRank, NonFinite, ShapeMismatch, check_count,
+    check_positive,
 )
 from .formats import csv_text
 from .linalg import SvdFactors, binary_scaled, numerical_rank, spectral_norm, svd_full
@@ -38,6 +39,7 @@ def tsir(true_components, est_components):
     at extreme magnitudes.  Only where the estimates' largest entry is over
     2**256 times the references' (a ratio below about -1,500 dB) is the
     error energy taken at a coarser power of two, so it cannot overflow.
+    A NaN or infinite entry in either list raises NonFinite.
     """
     if len(true_components) != len(est_components):
         raise ShapeMismatch(
@@ -45,6 +47,8 @@ def tsir(true_components, est_components):
         )
     true_components = [np.asarray(a, dtype=np.float64) for a in true_components]
     est_components = [np.asarray(b, dtype=np.float64) for b in est_components]
+    if not all(np.isfinite(a).all() for a in true_components + est_components):
+        raise NonFinite("components contain NaN or Inf")
     e = _scale_exponent(true_components)
     f = max(e, _scale_exponent(est_components) - 256)
     num = den = 0.0

@@ -13,7 +13,7 @@ from rtd.analysis import (
     tangent_project,
     tsir,
 )
-from rtd.errors import AllZeroSignal, BadIndex, DegenerateRank, ShapeMismatch
+from rtd.errors import AllZeroSignal, BadIndex, DegenerateRank, NonFinite, ShapeMismatch
 from rtd.linalg import random_semi_orthonormal_pair
 from rtd.reshuffle import reshuffle_from_seed, reshuffle_identity
 from rtd.rng import gaussians
@@ -97,6 +97,16 @@ def test_tsir_of_an_estimate_far_larger_than_its_reference_is_finite():
         got = tsir([c * 1e-300 * np.ones(4)], [c * 1e10 * np.ones(4)])
         assert got == pytest.approx(-6200.0, abs=1e-9), c
     assert tsir([1e-308 * np.ones(4)], [-1e308 * np.ones(4)]) == pytest.approx(-12320.0, abs=1e-9)
+
+
+def test_tsir_refuses_non_finite_entries():
+    ones = np.ones(4)
+    for bad in (np.inf, np.nan):
+        worse = np.full(4, bad)
+        with pytest.raises(NonFinite):
+            tsir([ones], [worse])
+        with pytest.raises(NonFinite):
+            tsir([worse], [ones])
 
 
 def test_recovery_bound_values():
