@@ -7,6 +7,7 @@ file keeps its maxval, which fixes the precision its samples are known to;
 an image made in memory has maxval None.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,8 @@ import numpy as np
 from .errors import MalformedHeader, UnsupportedMaxval
 
 MAXVALS = (255, 65535)
+# Longest header read: the magic number, the three numbers and any comments.
+HEADER_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -86,22 +89,28 @@ def _parse_dims(tokens):
 
 
 def read_image(path):
-    """Read a P5 file as GrayImage or a P6 file as RgbImage."""
+    """Read a P5 file as GrayImage or a P6 file as RgbImage.
+
+    The header, which must fit in its first HEADER_MAX bytes, is checked,
+    and the payload's size (from ``os.fstat``) against it, before the
+    payload is read; any mismatch raises MalformedHeader.  A pipe has no
+    size to check and fails to seek (OSError).
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    magic = data[:2]
-    if magic not in (b"P5", b"P6"):
-        raise MalformedHeader(f"not a binary PGM/PPM file: magic {magic!r}")
-    tokens, offset = _read_tokens(data[2:], 3)
-    width, height, maxval = _parse_dims(tokens)
-    channels = 1 if magic == b"P5" else 3
-    count = width * height * channels
-    dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
-    payload = data[2 + offset :]
-    if len(payload) != count * dtype.itemsize:
-        raise MalformedHeader(
-            f"payload is {len(payload)} bytes, expected {count * dtype.itemsize}"
-        )
+        head = fh.read(HEADER_MAX)
+        magic = head[:2]
+        if magic not in (b"P5", b"P6"):
+            raise MalformedHeader(f"not a binary PGM/PPM file: magic {magic!r}")
+        tokens, offset = _read_tokens(head[2:], 3)
+        width, height, maxval = _parse_dims(tokens)
+        channels = 1 if magic == b"P5" else 3
+        count = width * height * channels
+        dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
+        fh.seek(2 + offset)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != count * dtype.itemsize:
+            raise MalformedHeader(f"payload is {size} bytes, expected {count * dtype.itemsize}")
+        payload = fh.read()
     raw = np.frombuffer(payload, dtype=dtype)
     samples = raw.astype(np.float64) / maxval
     if channels == 1:

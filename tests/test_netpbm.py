@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,21 @@ def test_malformed_inputs(tmp_path):
     bad.write_bytes(b"P5\n1 1\n300\n\x00")
     with pytest.raises(UnsupportedMaxval):
         read_image(bad)
+
+
+def test_read_image_checks_the_header_before_reading_the_payload(tmp_path):
+    # Sparse 64 MiB files: a bad magic number and a payload of the wrong
+    # size are refused with the payload unread.
+    for name, header in (("magic", b"P4\n1000 1000\n255\n"), ("size", b"P5\n1000 1000\n255\n")):
+        path = tmp_path / f"{name}.pgm"
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.truncate(64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedHeader):
+                read_image(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, name
