@@ -53,6 +53,47 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     assert sorted(defined - used) == sorted(CALLED_ONLY_FROM_OUTSIDE)
 
 
+def _names_used(tree):
+    """Every name read in ``tree``, as a bare name or an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_import_is_used():
+    """A name a module of src/rtd imports is used in that module; only
+    __init__.py imports names to re-export them."""
+    unused = []
+    for path in sorted(Path(rtd.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
+def test_every_private_definition_is_used():
+    """A module-level private function or class of src/rtd is used by name
+    somewhere in the package."""
+    package = _modules(Path(rtd.__file__).parent)
+    private = {
+        node.name for tree in package for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    used = set().union(*(_names_used(tree) for tree in package))
+    assert sorted(private - used) == []
+
+
 def test_all_lists_exactly_the_public_names():
     public = {
         name for name, value in vars(rtd).items()

@@ -227,6 +227,18 @@ def test_kappa_overflow_raises_nonfinite(monkeypatch):
     assert decompose(problem).converged
 
 
+def test_kappa_grows_only_before_a_sweep_that_runs(monkeypatch):
+    # The last sweep grows no kappa: max_iter=2 ends with the second kappa
+    # finite, and only a third sweep would need the overflowing one.
+    problem, _ = two_component_problem()
+    monkeypatch.setattr(solver_mod, "RHO", 1e200)
+    result = decompose(problem, SolverConfig(max_iter=2, tol=1e-30))
+    assert result.iterations == 2 and not result.converged
+    assert result.kappa_history == [1.1026540819323745, 1.1026540819323744e200]
+    with pytest.raises(NonFinite, match="before iteration 3$"):
+        decompose(problem, SolverConfig(max_iter=3, tol=1e-30))
+
+
 def test_results_do_not_change_with_the_scale_of_the_observation():
     truth, ops, X = make_instance(40, 2, 2, seed=3)
     base = decompose(Problem(X, ops))

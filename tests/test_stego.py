@@ -188,6 +188,16 @@ def test_reveal_rejects_mismatched_key():
         reveal(container, bad_dims)
 
 
+def test_reveal_needs_a_gray_container():
+    cover, secret = small_pair()
+    _, key = conceal(cover, secret, strength=0.05)
+    # A color image of the cover's height and width is refused for its kind,
+    # not for its shape.
+    color = RgbImage(np.repeat(cover.pixels[:, :, None], 3, axis=2))
+    with pytest.raises(DimMismatch, match="reveal needs a GrayImage container"):
+        reveal(color, key)
+
+
 def test_key_file_roundtrip(tmp_path):
     key = StegoKey(12345, (32, 32), (16, 64), 0.0625, mode="q8")
     path = tmp_path / "stego.key"
