@@ -218,9 +218,7 @@ def estimate_component_count(components, eta):
     components = [np.asarray(a, dtype=np.float64) for a in components]
     e = _scale_exponent(components)
     norms = [float(np.linalg.norm(np.ldexp(a, -e))) for a in components]
-    if not norms or max(norms) == 0.0:
-        return 0
-    cut = eta * max(norms)
+    cut = eta * max(norms, default=0.0)
     return sum(1 for v in norms if v > cut)
 
 

@@ -73,12 +73,18 @@ def read_tensor(path):
             raise MalformedHeader(f"inconsistent shape line {lines[1]!r}")
         if lines[2] != "dtype f64":
             raise MalformedHeader(f"unsupported dtype line {lines[2]!r}")
-        count = math.prod(shape)
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != count * 8:
-            raise MalformedHeader(f"payload is {size} bytes, expected {count * 8}")
-        payload = fh.read()
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+        return read_payload(fh, math.prod(shape), np.dtype("<f8")).reshape(shape)
+
+
+def read_payload(fh, count, dtype):
+    """The ``count`` samples of NumPy dtype ``dtype`` that fill the rest of
+    the regular file ``fh``, as float64.  The remaining size (from
+    ``os.fstat``) is checked before anything is read: any other size raises
+    MalformedHeader."""
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != count * dtype.itemsize:
+        raise MalformedHeader(f"payload is {size} bytes, expected {count * dtype.itemsize}")
+    return np.frombuffer(fh.read(), dtype=dtype).astype(np.float64)
 
 
 def _text(lines):

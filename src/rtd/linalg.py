@@ -156,9 +156,7 @@ def nuclear_norm(M):
 def numerical_rank(S):
     """Number of singular values above the relative cutoff."""
     S = np.asarray(S, dtype=float)
-    if S.size == 0 or S[0] <= 0.0:
-        return 0
-    return int((S > RANK_CUTOFF * S[0]).sum())
+    return int((S > RANK_CUTOFF * S.max(initial=0.0)).sum())
 
 
 def _semi_orthonormal(n, r, seed):
@@ -168,6 +166,14 @@ def _semi_orthonormal(n, r, seed):
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     return Q * signs
+
+
+def start_basis(n, seed):
+    """The n x (OVERSAMPLE + TAIL_BELOW) orthonormal Gaussian block, a pure
+    function of ``seed``: a first ``svt_with_values`` call's warm start, with
+    room for OVERSAMPLE kept values and the TAIL_BELOW below alpha that
+    accept the block."""
+    return _semi_orthonormal(n, OVERSAMPLE + TAIL_BELOW, seed)
 
 
 def random_semi_orthonormal_pair(n, r, seed):

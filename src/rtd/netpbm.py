@@ -7,14 +7,15 @@ file keeps its maxval, which fixes the precision its samples are known to;
 an image made in memory has maxval None.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedHeader, UnsupportedMaxval
+from .formats import read_payload
 
-MAXVALS = (255, 65535)
+# The sample type of each accepted maxval.
+DTYPES = {255: np.dtype("u1"), 65535: np.dtype(">u2")}
 # Longest header read: the magic number, the three numbers and any comments.
 HEADER_MAX = 4096
 
@@ -83,8 +84,8 @@ def _parse_dims(tokens):
         raise MalformedHeader(f"non-numeric header fields: {tokens}") from None
     if width < 1 or height < 1:
         raise MalformedHeader(f"bad dimensions {width}x{height}")
-    if maxval not in MAXVALS:
-        raise UnsupportedMaxval(f"maxval must be one of {MAXVALS}, got {maxval}")
+    if maxval not in DTYPES:
+        raise UnsupportedMaxval(f"maxval must be one of {tuple(DTYPES)}, got {maxval}")
     return width, height, maxval
 
 
@@ -104,15 +105,8 @@ def read_image(path):
         tokens, offset = _read_tokens(head[2:], 3)
         width, height, maxval = _parse_dims(tokens)
         channels = 1 if magic == b"P5" else 3
-        count = width * height * channels
-        dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
         fh.seek(2 + offset)
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != count * dtype.itemsize:
-            raise MalformedHeader(f"payload is {size} bytes, expected {count * dtype.itemsize}")
-        payload = fh.read()
-    raw = np.frombuffer(payload, dtype=dtype)
-    samples = raw.astype(np.float64) / maxval
+        samples = read_payload(fh, width * height * channels, DTYPES[maxval]) / maxval
     if channels == 1:
         return GrayImage(samples.reshape(height, width), maxval)
     return RgbImage(samples.reshape(height, width, 3), maxval)
@@ -120,10 +114,9 @@ def read_image(path):
 
 def quantize(samples, maxval):
     """Integer sample levels for float data: round(clamp(x, 0, 1) * maxval)."""
-    if maxval not in MAXVALS:
-        raise UnsupportedMaxval(f"maxval must be one of {MAXVALS}, got {maxval}")
-    levels = np.rint(np.clip(samples, 0.0, 1.0) * maxval)
-    return levels.astype(np.dtype(">u2") if maxval == 65535 else np.dtype("u1"))
+    if maxval not in DTYPES:
+        raise UnsupportedMaxval(f"maxval must be one of {tuple(DTYPES)}, got {maxval}")
+    return np.rint(np.clip(samples, 0.0, 1.0) * maxval).astype(DTYPES[maxval])
 
 
 def write_image(img, path, maxval=255):

@@ -101,8 +101,6 @@ def random_permutation(count, seed):
     seed = check_seed(seed)
     if count > MAX_PERMUTATION:
         raise ShapeMismatch(f"permutation of {count} entries exceeds 2**32")
-    if count < 2:
-        return np.arange(count, dtype=index_dtype(count))
     carried = np.arange(count, dtype=np.intp)
     u = bulk_u64(seed, count - 1)
     bound = np.arange(count, 1, -1, dtype=np.uint64)  # i + 1
@@ -153,8 +151,6 @@ def gaussians(count, seed):
     count = check_count(count, ShapeMismatch, "count", low=0)
     seed = check_seed(seed)
     pairs = (count + 1) // 2
-    if pairs == 0:
-        return np.empty(0)
     u = bulk_u64(seed, 2 * pairs).reshape(pairs, 2)
     u1 = 1.0 - (u[:, 0] >> np.uint64(11)) * 2.0**-53
     u2 = (u[:, 1] >> np.uint64(11)) * 2.0**-53

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceDetected, NonFinite, ShapeMismatch, check_count, check_positive
-from .linalg import OVERSAMPLE, TAIL_BELOW, _semi_orthonormal, binary_scaled
-from .linalg import spectral_norm, svt_with_values
+from .linalg import binary_scaled, spectral_norm, start_basis, svt_with_values
 from .formats import csv_text
 from .reshuffle import cross_map
 from .rng import derive_seed
@@ -189,8 +188,7 @@ def decompose(problem, config=None):
     kappa_max = math.ldexp(sys.float_info.max, min(e, 0))
 
     comps = [np.zeros((op.m, op.n)) for op in ops]
-    bases = [_semi_orthonormal(op.n, OVERSAMPLE + TAIL_BELOW, derive_seed(0, i))
-             for i, op in enumerate(ops)]
+    bases = [start_basis(op.n, derive_seed(0, i)) for i, op in enumerate(ops)]
     # r and y are flat, in a component's matrix layout: steps[i] gathers
     # component i's layout into the next one's, and the last step wraps
     # round to component 0, where each sweep starts and ends.

@@ -2,8 +2,10 @@
 
 A 3-channel secret is hidden inside a grayscale cover by adding its
 strength-scaled, seed-reshuffled channels; the reshuffle seeds act as the
-key.  Revealing solves a 4-component decomposition: the cover under the
-identity reshuffle plus one seeded reshuffle per channel.
+key.  The key's ``ops`` are the model's four operators: the cover under the
+identity reshuffle plus one seeded reshuffle per channel.  Concealing is
+the forward model ``observe`` through them, and revealing solves the
+4-component decomposition with them.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from .errors import DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMax
 from .errors import check_ints, check_positive
 from .formats import csv_text, read_lines, write_lines
 from .netpbm import GrayImage, RgbImage, quantize
-from .reshuffle import reshuffle_from_seed, reshuffle_identity
+from .reshuffle import observe, reshuffle_from_seed, reshuffle_identity
 from .rng import check_seed, derive_seed
 from .solver import Problem, SolverConfig, at_noise_floor, decompose
 
@@ -76,10 +78,19 @@ class StegoKey:
             for c in range(3)
         )
 
+    @property
+    def ops(self):
+        """The cover's identity reshuffle, then the three channel reshuffles:
+        the operators conceal observes through and reveal solves with.  A
+        fresh list on each read, so the key caches only ``channel_ops``."""
+        return [reshuffle_identity(*self.cover_dims, self.cover_dims), *self.channel_ops]
+
 
 def conceal(cover, secret, strength=0.05, master_seed=0, mode="float"):
     """Embed the secret's reshuffled channels into the cover.
 
+    The container is ``observe(key.ops, [cover, *(strength * channel)])``:
+    the cover plus each strength-scaled channel under its reshuffle.
     Returns the container image and the key holding everything needed to
     reveal except the images themselves.  A q8 container is rounded to
     maxval 255; a float one is exact (maxval None).
@@ -87,9 +98,8 @@ def conceal(cover, secret, strength=0.05, master_seed=0, mode="float"):
     if not (isinstance(cover, GrayImage) and isinstance(secret, RgbImage)):
         raise DimMismatch("conceal needs a GrayImage cover and an RgbImage secret")
     key = StegoKey(master_seed, cover.pixels.shape, secret.pixels.shape[:2], strength, mode)
-    pixels = cover.pixels.astype(np.float64).copy()
-    for c, op in enumerate(key.channel_ops):
-        pixels += key.strength * op.apply(secret.pixels[:, :, c])
+    channels = key.strength * np.moveaxis(secret.pixels, -1, 0)
+    pixels = observe(key.ops, [cover.pixels, *channels])
     if mode == "q8":
         pixels = quantize(pixels, 255) / 255.0
         return GrayImage(pixels, 255), key
@@ -111,7 +121,8 @@ def _reveal_config(container, config):
 
 
 def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
-    """Decompose the container back into cover and secret estimates.
+    """Decompose the container back into cover and secret estimates: the
+    decomposition of its pixels under ``key.ops``.
 
     The container is a GrayImage (DimMismatch otherwise) whose maxval (255
     or 65535) is the precision its pixels were rounded to, or None when they
@@ -132,9 +143,7 @@ def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
         if ref is not None and not (isinstance(ref, kind) and ref.pixels.shape[:2] == dims):
             raise DimMismatch(f"reference image must be a {dims[0]}x{dims[1]} {kind.__name__}")
     config = _reveal_config(container, config)
-    ch, cw = key.cover_dims
-    ops = [reshuffle_identity(ch, cw, (ch, cw)), *key.channel_ops]
-    result = decompose(Problem(container.pixels, ops), config)
+    result = decompose(Problem(container.pixels, key.ops), config)
     cover_est = GrayImage(np.clip(result.components[0], 0.0, 1.0))
     channels = [
         np.clip(comp / key.strength, 0.0, 1.0) for comp in result.components[1:]

@@ -8,11 +8,11 @@ from rtd.linalg import (
     POWER_STEPS,
     RANK_CUTOFF,
     TAIL_BELOW,
-    _semi_orthonormal,
     nuclear_norm,
     numerical_rank,
     random_semi_orthonormal_pair,
     spectral_norm,
+    start_basis,
     svd_full,
     svt,
     svt_with_values,
@@ -205,12 +205,12 @@ def test_warm_partial_svt_matches_full(qr_calls):
 def test_seeded_warm_start_thresholds_its_first_call_partially():
     width = OVERSAMPLE + TAIL_BELOW
     for m, n, seed in ((80, 60, 4), (60, 80, 5), (100, 100, 6)):
-        start = _semi_orthonormal(n, width, seed)
+        start = start_basis(n, seed)
         # An orthonormal Gaussian block, a pure function of the seed.
         assert start.shape == (n, width)
         assert np.abs(start.T @ start - np.eye(width)).max() <= 1e-12
-        assert np.array_equal(_semi_orthonormal(n, width, seed), start)
-        assert not np.array_equal(_semi_orthonormal(n, width, seed + 1), start)
+        assert np.array_equal(start_basis(n, seed), start)
+        assert not np.array_equal(start_basis(n, seed + 1), start)
         M = gapped_matrix(m, n, [9.0, 7.0, 5.0], seed, tail=0.01)
         step = svt_with_values(M, 1.0, start)
         assert step.partial
@@ -276,7 +276,7 @@ def test_warm_partial_svt_keeps_a_wide_dynamic_range():
     for m, n, seed in ((100, 100, 1), (80, 60, 2), (60, 80, 3)):
         M = gapped_matrix(m, n, top, seed, tail=1e-6)
         nearby = M + 1e-7 * gaussians(m * n, derive_seed(seed, 7)).reshape(m, n)
-        first = svt_with_values(nearby, 5e-5, _semi_orthonormal(n, OVERSAMPLE + TAIL_BELOW, seed))
+        first = svt_with_values(nearby, 5e-5, start_basis(n, seed))
         step = svt_with_values(M, 5e-5, first.basis)
         assert step.partial
         expect = svt_with_values(M, 5e-5)

@@ -34,6 +34,17 @@ def _modules(directory):
             if not path.name.startswith("test_")]
 
 
+def _names_used(tree):
+    """Every name read in ``tree``, as a bare name or an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
 def test_every_public_definition_has_a_caller_outside_the_tests():
     """A module-level public function or class of src/rtd is used by name in
     src/rtd or the benchmark, or patched by a benchmark hook; the tests alone
@@ -44,24 +55,8 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     used = {part for _, _, path in HOOKS for part in path.split(".")}
-    for tree in package + _modules(Path(perfbench.__file__).parent):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    used = used.union(*map(_names_used, package + _modules(Path(perfbench.__file__).parent)))
     assert sorted(defined - used) == sorted(CALLED_ONLY_FROM_OUTSIDE)
-
-
-def _names_used(tree):
-    """Every name read in ``tree``, as a bare name or an attribute."""
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-    return used
 
 
 def test_every_import_is_used():
@@ -80,6 +75,18 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A module of src/rtd imports no single-underscore name from another
+    module: a rule that two modules share is public where it is defined."""
+    private = []
+    for path in sorted(Path(rtd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert private == []
 
 
 def test_every_private_definition_is_used():

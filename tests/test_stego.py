@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import rtd.netpbm as netpbm
 import rtd.reshuffle as reshuffle
 import rtd.stego as stego
 from rtd.analysis import tsir
 from rtd.errors import BadIndex, DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMaxval
-from rtd.netpbm import GrayImage, RgbImage
+from rtd.netpbm import GrayImage, RgbImage, quantize
+from rtd.reshuffle import ReshuffleOp
 from rtd.solver import SolverConfig
 from rtd.stego import (
     StegoKey,
@@ -126,6 +130,29 @@ def test_a_key_holds_one_permutation_per_channel():
     arrays = [v for op in key.channel_ops for v in vars(op).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 3
     assert all(a.dtype == np.uint16 and a.shape == (32 * 32,) for a in arrays)
+
+
+def test_conceal_observes_the_scaled_channels_through_the_key_ops():
+    cover, secret = small_pair(seed=5)
+    for mode in stego.MODES:
+        container, key = conceal(cover, secret, strength=0.05, master_seed=9, mode=mode)
+        channels = [key.strength * secret.pixels[:, :, c] for c in range(3)]
+        expect = reshuffle.observe(key.ops, [cover.pixels, *channels])
+        if mode == "q8":
+            expect = quantize(expect, 255) / 255.0
+        assert container.pixels.tobytes() == expect.tobytes()
+        assert key.ops[0] == ReshuffleOp(32, 32, (32, 32)) and key.ops[0].seed is None
+        assert key.ops[1:] == list(key.channel_ops)
+        # ops is built afresh on each read; the key caches only channel_ops.
+        fields = {f.name for f in dataclasses.fields(key)}
+        assert set(vars(key)) - fields == {"channel_ops"}
+        arrays = [v for op in key.channel_ops for v in vars(op).values()
+                  if isinstance(v, np.ndarray)]
+        assert len(arrays) == 3
+
+
+def test_every_readable_maxval_has_a_reveal_floor():
+    assert set(stego.FLOOR_FACTOR) == set(netpbm.DTYPES)
 
 
 def test_wrong_seed_reveals_noise():
