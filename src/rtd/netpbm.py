@@ -116,7 +116,8 @@ def quantize(samples, maxval):
     """Integer sample levels for float data: round(clamp(x, 0, 1) * maxval)."""
     if maxval not in DTYPES:
         raise UnsupportedMaxval(f"maxval must be one of {tuple(DTYPES)}, got {maxval}")
-    return np.rint(np.clip(samples, 0.0, 1.0) * maxval).astype(DTYPES[maxval])
+    levels = np.rint(np.clip(samples, 0.0, 1.0) * maxval)
+    return levels.astype(DTYPES[maxval])
 
 
 def write_image(img, path, maxval=255):

@@ -16,7 +16,8 @@ float64 raises NonFinite.  The multiplier Y and the components start at
 zero, the usual ADMM start.  Each component's threshold is a partial SVD
 warm-started from the right singular subspace it kept in the previous sweep
 (the ``basis`` of the ``rtd.linalg.SvtStep`` that sweep returned), and in
-the first sweep from a Gaussian block seeded by the component's index.
+the first sweep from ``rtd.linalg.start_basis``, the orthonormal Gaussian
+block of width OVERSAMPLE + TAIL_BELOW seeded by the component's index.
 """
 
 import dataclasses
@@ -135,8 +136,8 @@ def default_kappa0(problem):
     With the multiplier and the components at zero, the first sweep
     thresholds adjoint_0(X), then for each later component adjoint_i of
     what the earlier ones left of X, so it keeps only the few singular
-    values above 1/kappa0, and the seeded warm start blocks of width
-    OVERSAMPLE + TAIL_BELOW cover them.
+    values above 1/kappa0, and the seeded ``start_basis`` blocks cover
+    them.
     """
     top = max(spectral_norm(op.adjoint(problem.X)) for op in problem.ops)
     if top == 0.0:
@@ -148,7 +149,8 @@ def decompose(problem, config=None):
     """Run the alternating singular-value-thresholding scheme.
 
     Initialization: Y = 0, A_i = 0 (the usual ADMM start), kappa =
-    default_kappa0, and component i's warm start block seeded by i alone.
+    default_kappa0, and component i's warm start ``start_basis`` seeded by
+    i alone.
     Each iteration, for i = 1..N in order and using the freshest A_j:
 
         A_i <- svt( adjoint_i( X - sum_{j != i} R_j(A_j) + Y/kappa ), 1/kappa )
