@@ -24,10 +24,15 @@ record per line: ``write_lines`` ends every line with a newline, and
 ``read_lines`` strips lines and skips blank ones.  ``csv_text`` renders
 every CSV rtd writes with one number format: booleans as 0/1, floats as
 their repr, so they read back bit for bit, and anything else as str.
+
+No input file is read past HEADER_MAX bytes before it is checked:
+``read_header`` matches a binary header (tensors here, images in netpbm)
+within that bound, and ``read_lines`` refuses a longer text file.
 """
 
 import math
 import os
+import re
 
 import numpy as np
 
@@ -35,10 +40,15 @@ from .errors import MalformedHeader
 from .reshuffle import ReshuffleOp
 
 TENSOR_MAGIC = "rtd-tensor v1"
-# Longest tensor header line read: a shape line for NumPy's 64 dimensions,
-# each below 2**63, takes under 1.3 KB.
-HEADER_LINE_MAX = 4096
 OPS_MAGIC = "rtd-ops v1"
+# Most bytes of any input file read before it is checked: the header of a
+# tensor or image, or the whole of an operator or key file.  A shape line or
+# an operator line with NumPy's 64 extents, each below 2**63, takes under
+# 1.3 KB.
+HEADER_MAX = 64 << 10
+# A number field has at most 20 digits: no more are needed below 2**64, and
+# int() refuses strings of over 4300 digits with a ValueError.
+_TENSOR_HEADER = re.compile(TENSOR_MAGIC.encode() + rb"\nshape (\d{1,20})((?: \d{1,20})*)\ndtype f64\n")
 
 
 def write_tensor(X, path):
@@ -49,42 +59,46 @@ def write_tensor(X, path):
         fh.write(X.astype("<f8", copy=False).tobytes())
 
 
+def read_header(fh, pattern, error):
+    """The match of the compiled bytes ``pattern`` at the start of the open
+    binary file ``fh``, within its first HEADER_MAX bytes, with ``fh`` left
+    just past it.  No match raises ``error``, the reading format's own
+    RtdError, with a message that quotes none of the file."""
+    match = pattern.match(fh.read(HEADER_MAX))
+    if match is None:
+        raise error(f"{fh.name}: no valid header within its first {HEADER_MAX} bytes")
+    fh.seek(match.end())
+    return match
+
+
 def read_tensor(path):
     """The tensor in the regular file at ``path``.  The three header lines
-    are checked, and the payload's size (from ``os.fstat``) against the
-    shape, before the payload is read; any mismatch raises MalformedHeader.
-    A pipe has no size to check and fails to seek (OSError)."""
+    must match the format exactly, with a shape of ndim >= 1 positive
+    extents; they are checked, and the payload's size against the shape,
+    before the payload is read.  Any mismatch raises MalformedHeader.  A
+    pipe fails to seek (OSError)."""
     with open(path, "rb") as fh:
-        lines = [fh.readline(HEADER_LINE_MAX) for _ in range(3)]
-        if not all(ln.endswith(b"\n") for ln in lines):
-            raise MalformedHeader("truncated or overlong header")
-        lines = [ln[:-1].decode("ascii", errors="replace") for ln in lines]
-        if lines[0] != TENSOR_MAGIC:
-            raise MalformedHeader(f"bad magic line {lines[0]!r}")
-        fields = lines[1].split()
-        if len(fields) < 2 or fields[0] != "shape":
-            raise MalformedHeader(f"bad shape line {lines[1]!r}")
-        try:
-            ndim = int(fields[1])
-            shape = tuple(int(v) for v in fields[2:])
-        except ValueError:
-            raise MalformedHeader(f"non-numeric shape line {lines[1]!r}") from None
+        match = read_header(fh, _TENSOR_HEADER, MalformedHeader)
+        ndim, shape = int(match[1]), tuple(int(v) for v in match[2].split())
         if len(shape) != ndim or ndim < 1 or any(e < 1 for e in shape):
-            raise MalformedHeader(f"inconsistent shape line {lines[1]!r}")
-        if lines[2] != "dtype f64":
-            raise MalformedHeader(f"unsupported dtype line {lines[2]!r}")
+            raise MalformedHeader(f"inconsistent shape: ndim {ndim}, {len(shape)} extents, "
+                                  f"least extent {min(shape, default=None)}")
         return read_payload(fh, math.prod(shape), np.dtype("<f8")).reshape(shape)
 
 
 def read_payload(fh, count, dtype):
     """The ``count`` samples of NumPy dtype ``dtype`` that fill the rest of
     the regular file ``fh``, as float64.  The remaining size (from
-    ``os.fstat``) is checked before anything is read: any other size raises
-    MalformedHeader."""
+    ``os.fstat``) is checked before anything is read, and the bytes read
+    after: any other size raises MalformedHeader.  The samples are read
+    into their own array, so a float64 payload is held once."""
     size = os.fstat(fh.fileno()).st_size - fh.tell()
     if size != count * dtype.itemsize:
         raise MalformedHeader(f"payload is {size} bytes, expected {count * dtype.itemsize}")
-    return np.frombuffer(fh.read(), dtype=dtype).astype(np.float64)
+    samples = np.empty(count, dtype)
+    if fh.readinto(samples) != size:
+        raise MalformedHeader(f"payload ended before its {size} bytes")
+    return samples.astype(np.float64, copy=False)
 
 
 def _text(lines):
@@ -113,16 +127,20 @@ def write_lines(path, lines):
 def read_lines(path, magic, error):
     """The stripped, nonblank lines of text file ``path`` after its magic line.
 
-    A file that is not UTF-8 text, or whose first nonblank line is not
-    ``magic``, raises ``error``, the reading format's own RtdError.
+    A file larger than HEADER_MAX bytes, one that is not UTF-8 text, or one
+    whose first nonblank line is not ``magic`` raises ``error``, the reading
+    format's own RtdError; a larger file is refused unread past that bound.
     """
+    with open(path, "rb") as fh:
+        data = fh.read(HEADER_MAX + 1)
+    if len(data) > HEADER_MAX:
+        raise error(f"{path} is larger than {HEADER_MAX} bytes")
     try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+        lines = [ln.strip() for ln in data.decode().splitlines() if ln.strip()]
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not text: {exc}") from None
     if not lines or lines[0] != magic:
-        raise error(f"bad magic line in {path}: expected {magic!r}, got {lines[:1]}")
+        raise error(f"bad magic line in {path}: expected {magic!r}, got {str(lines[:1])[:80]}")
     return lines[1:]
 
 

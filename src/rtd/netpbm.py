@@ -7,17 +7,19 @@ file keeps its maxval, which fixes the precision its samples are known to;
 an image made in memory has maxval None.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedHeader, UnsupportedMaxval
-from .formats import read_payload
+from .formats import read_header, read_payload
 
 # The sample type of each accepted maxval.
 DTYPES = {255: np.dtype("u1"), 65535: np.dtype(">u2")}
-# Longest header read: the magic number, the three numbers and any comments.
-HEADER_MAX = 4096
+# The magic number, then width, height and maxval, each after whitespace and
+# # comments, then the one whitespace byte that ends the header.
+_HEADER = re.compile(rb"(P[56])" + rb"(?:\s|#[^\n]*\n)+(\d{1,20})" * 3 + rb"\s")
 
 
 @dataclass(frozen=True)
@@ -47,66 +49,30 @@ class RgbImage(_Image):
     """Color image: pixels (h, w, 3) float64 in [0, 1]."""
 
 
-def _read_tokens(data, count):
-    """First `count` whitespace-separated header tokens, skipping # comments.
-
-    Returns the tokens and the offset just past the single whitespace byte
-    that terminates the last one.
-    """
-    tokens = []
-    pos = 0
-    while len(tokens) < count:
-        if pos >= len(data):
-            raise MalformedHeader("truncated header")
-        c = data[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            end = data.find(b"\n", pos)
-            if end < 0:
-                raise MalformedHeader("unterminated comment")
-            pos = end + 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise MalformedHeader("missing whitespace after maxval")
-    return tokens, pos + 1
-
-
-def _parse_dims(tokens):
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise MalformedHeader(f"non-numeric header fields: {tokens}") from None
-    if width < 1 or height < 1:
-        raise MalformedHeader(f"bad dimensions {width}x{height}")
+def _dtype(maxval):
+    """The sample type of ``maxval``; any maxval not in DTYPES raises
+    UnsupportedMaxval."""
     if maxval not in DTYPES:
         raise UnsupportedMaxval(f"maxval must be one of {tuple(DTYPES)}, got {maxval}")
-    return width, height, maxval
+    return DTYPES[maxval]
 
 
 def read_image(path):
     """Read a P5 file as GrayImage or a P6 file as RgbImage.
 
-    The header, which must fit in its first HEADER_MAX bytes, is checked,
-    and the payload's size (from ``os.fstat``) against it, before the
-    payload is read; any mismatch raises MalformedHeader.  A pipe has no
-    size to check and fails to seek (OSError).
+    The header must match the format within the file's first
+    formats.HEADER_MAX bytes.  It is checked, and the payload's size
+    against it, before the payload is read; any mismatch raises
+    MalformedHeader, and a maxval other than 255 or 65535 raises
+    UnsupportedMaxval.  A pipe fails to seek (OSError).
     """
     with open(path, "rb") as fh:
-        head = fh.read(HEADER_MAX)
-        magic = head[:2]
-        if magic not in (b"P5", b"P6"):
-            raise MalformedHeader(f"not a binary PGM/PPM file: magic {magic!r}")
-        tokens, offset = _read_tokens(head[2:], 3)
-        width, height, maxval = _parse_dims(tokens)
+        magic, *fields = read_header(fh, _HEADER, MalformedHeader).groups()
+        width, height, maxval = map(int, fields)
+        if width < 1 or height < 1:
+            raise MalformedHeader(f"bad dimensions {width}x{height}")
         channels = 1 if magic == b"P5" else 3
-        fh.seek(2 + offset)
-        samples = read_payload(fh, width * height * channels, DTYPES[maxval]) / maxval
+        samples = read_payload(fh, width * height * channels, _dtype(maxval)) / maxval
     if channels == 1:
         return GrayImage(samples.reshape(height, width), maxval)
     return RgbImage(samples.reshape(height, width, 3), maxval)
@@ -114,10 +80,8 @@ def read_image(path):
 
 def quantize(samples, maxval):
     """Integer sample levels for float data: round(clamp(x, 0, 1) * maxval)."""
-    if maxval not in DTYPES:
-        raise UnsupportedMaxval(f"maxval must be one of {tuple(DTYPES)}, got {maxval}")
-    levels = np.rint(np.clip(samples, 0.0, 1.0) * maxval)
-    return levels.astype(DTYPES[maxval])
+    dtype = _dtype(maxval)
+    return np.rint(np.clip(samples, 0.0, 1.0) * maxval).astype(dtype)
 
 
 def write_image(img, path, maxval=255):

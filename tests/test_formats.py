@@ -1,20 +1,45 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from rtd.errors import MalformedHeader, ShapeMismatch
+from rtd.errors import KeyMismatch, MalformedHeader, ShapeMismatch
 from rtd.formats import (
+    HEADER_MAX,
     OPS_MAGIC,
     TENSOR_MAGIC,
     csv_text,
     read_ops,
+    read_payload,
     read_tensor,
     write_ops,
     write_tensor,
 )
 from rtd.reshuffle import ReshuffleOp
 from rtd.rng import gaussians
+from rtd.stego import FORMAT_VERSION, read_key
+
+
+def _sparse(path, head):
+    """``path`` as a sparse 64 MiB file that starts with ``head``."""
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.truncate(64 << 20)
+    return path
+
+
+def _refusal(read, path, error):
+    """The tracemalloc peak of ``read(path)``, which must raise ``error``,
+    and the error's message."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as exc:
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, str(exc.value)
 
 
 def test_tensor_roundtrip_bitexact(tmp_path):
@@ -73,18 +98,53 @@ def test_read_tensor_checks_the_header_before_reading_the_payload(tmp_path):
         "endless": f"{TENSOR_MAGIC}\n".encode(),
     }
     for name, header in cases.items():
-        path = tmp_path / f"{name}.rtd"
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.truncate(64 << 20)
-        tracemalloc.start()
-        try:
-            with pytest.raises(MalformedHeader):
-                read_tensor(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, message = _refusal(read_tensor, _sparse(tmp_path / f"{name}.rtd", header),
+                                 MalformedHeader)
         assert peak <= 1 << 20, name
+        assert len(message) < 300, name
+
+
+def test_read_tensor_holds_its_payload_once(tmp_path):
+    path = tmp_path / "x.rtd"
+    write_tensor(np.arange(1 << 20, dtype=np.float64), path)
+    tracemalloc.start()
+    try:
+        X = read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(X, np.arange(1 << 20, dtype=np.float64))
+    assert peak <= 8.5 * (1 << 20)
+
+
+def test_read_payload_refuses_a_short_read(tmp_path):
+    # A file that reads shorter than its size said, as one truncated between
+    # the size check and the read does.
+    (tmp_path / "long").write_bytes(bytes(16))
+    (tmp_path / "short").write_bytes(bytes(8))
+    with open(tmp_path / "long", "rb") as long, open(tmp_path / "short", "rb") as short:
+        fh = SimpleNamespace(fileno=long.fileno, tell=short.tell, readinto=short.readinto)
+        with pytest.raises(MalformedHeader, match="ended"):
+            read_payload(fh, 2, np.dtype("<f8"))
+
+
+def test_text_files_past_the_bound_are_refused_unread(tmp_path):
+    # Sparse 64 MiB operator and key files, all NUL bytes or a valid magic
+    # line and then NUL bytes, are refused with the rest of the file unread.
+    for read, magic, error in ((read_ops, OPS_MAGIC, MalformedHeader),
+                               (read_key, FORMAT_VERSION, KeyMismatch)):
+        for head in (b"", f"{magic}\n".encode()):
+            peak, message = _refusal(read, _sparse(tmp_path / "big.txt", head), error)
+            assert peak <= 1 << 20, (magic, head)
+            assert len(message) < 300, (magic, head)
+    # A file of exactly HEADER_MAX bytes is read whole; one byte more is not.
+    path = tmp_path / "ops.txt"
+    text = "rtd-ops v1\nidentity 2 2 4\n"
+    path.write_text(text + " " * (HEADER_MAX - len(text)))
+    assert read_ops(path) == [ReshuffleOp(2, 2, (4,))]
+    path.write_text(text + " " * (HEADER_MAX + 1 - len(text)))
+    with pytest.raises(MalformedHeader, match="larger than"):
+        read_ops(path)
 
 
 def test_ops_roundtrip(tmp_path):

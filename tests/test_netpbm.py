@@ -105,13 +105,11 @@ def test_malformed_inputs(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(MalformedHeader):
             read_image(path)
-    for blob, message in (
-        (b"P5\n# no newline", "unterminated comment"),
-        (b"P5\n1 1\n255", "missing whitespace after maxval"),
-    ):
+    # An unterminated comment, and no whitespace after maxval.
+    for blob in (b"P5\n# no newline", b"P5\n1 1\n255"):
         path = tmp_path / "header.pgm"
         path.write_bytes(blob)
-        with pytest.raises(MalformedHeader, match=message):
+        with pytest.raises(MalformedHeader, match="no valid header"):
             read_image(path)
     bad = tmp_path / "maxval.pgm"
     bad.write_bytes(b"P5\n1 1\n300\n\x00")
@@ -129,9 +127,10 @@ def test_read_image_checks_the_header_before_reading_the_payload(tmp_path):
             fh.truncate(64 << 20)
         tracemalloc.start()
         try:
-            with pytest.raises(MalformedHeader):
+            with pytest.raises(MalformedHeader) as exc:
                 read_image(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1 << 20, name
+        assert len(str(exc.value)) < 300, name

@@ -101,6 +101,21 @@ def test_every_private_definition_is_used():
     assert sorted(private - used) == []
 
 
+def test_every_read_passes_a_size():
+    """Every read or readline call in src/rtd passes a size, so that no input
+    file is read whole before it is checked."""
+    unbounded = []
+    for path in sorted(Path(rtd.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                unbounded += [
+                    f"{path.name}: {fn.name}" for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("read", "readline") and not (node.args or node.keywords)
+                ]
+    assert unbounded == []
+
+
 def test_all_lists_exactly_the_public_names():
     public = {
         name for name, value in vars(rtd).items()
