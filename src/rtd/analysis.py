@@ -82,16 +82,6 @@ def certificate_threshold(N):
     return 1.0 / (3 * check_count(N, ValueError, "N") - 2)
 
 
-def _mu_list(mu_values):
-    """The incoherence values as floats; nonempty and nonnegative."""
-    mu_values = [float(m) for m in mu_values]
-    if not mu_values:
-        raise ValueError("need at least one incoherence value")
-    if any(m < 0 for m in mu_values):
-        raise ValueError("incoherence values must be nonnegative")
-    return mu_values
-
-
 def tangent_basis(A):
     """Truncated SVD factors of A at its numerical rank, as ``SvdFactors``:
     U and V are orthonormal and span the tangent set {U @ W.T + Z @ V.T}."""
@@ -116,10 +106,11 @@ def tangent_project(T, M):
 
 @dataclass(frozen=True)
 class IncoherenceEstimate:
-    """Lower bound on an incoherence value, with per-restart diagnostics."""
+    """Lower bound on an incoherence value: ``value`` is the largest of
+    ``restart_values``, one per restart, and ``converged`` says per restart
+    whether its ascent stalled at a fixed point."""
 
     value: float
-    restarts: int
     restart_values: list
     converged: list
 
@@ -205,7 +196,7 @@ def incoherence_lower_bound(A, ops, i, restarts=8, iters=50, seed=0):
                    for cross, dst_shape in crosses if norm > 0.0]
         restart_values.append(max((val for val, _ in ascents), default=0.0))
         converged.append(all(done for _, done in ascents))
-    return IncoherenceEstimate(max(restart_values), restarts, restart_values, converged)
+    return IncoherenceEstimate(max(restart_values), restart_values, converged)
 
 
 def estimate_component_count(components, eta):
@@ -223,8 +214,13 @@ def estimate_component_count(components, eta):
 
 
 def certificate_csv(mu_values):
-    """One CSV line per component: index, lower bound, threshold, verdict."""
-    mu_values = _mu_list(mu_values)
+    """One CSV line per component: index, lower bound, threshold, verdict.
+
+    The values must be nonnegative, and there must be at least one, as
+    ``certificate_threshold`` counts them (ValueError otherwise)."""
+    mu_values = [float(m) for m in mu_values]
+    if any(m < 0 for m in mu_values):
+        raise ValueError("incoherence values must be nonnegative")
     thr = certificate_threshold(len(mu_values))
     rows = [
         (idx, mu, thr, "not falsified" if mu < thr else "falsified")

@@ -132,11 +132,11 @@ class PhaseGridSpec:
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Mean tSIR per cell, with invalid cells as NaN and bound-line flags."""
+    """Mean tSIR per cell, with invalid cells (r > n) as NaN, and bound-line
+    flags."""
 
     spec: PhaseGridSpec
     cells: np.ndarray
-    invalid: np.ndarray
     bound_flags: np.ndarray
 
 
@@ -165,16 +165,14 @@ def run_phase_grid(spec, threads=1):
     """Mean tSIR over seeded trials for every (rank, axis) cell; cells with
     r > n are invalid and left NaN."""
     shape = (len(spec.ranks), len(spec.axis))
-    invalid = np.zeros(shape, dtype=bool)
     grid = []
     for cell in np.ndindex(shape):
         n, r, _ = spec.cell_params(*cell)
-        invalid[cell] = r > n
         grid.append(None if r > n else cell)
     cells = np.full(shape, np.nan)
     for cell, values in _run_cells(spec, _phase_trial, grid, threads):
         cells[cell] = np.mean(values)
-    return PhaseGrid(spec, cells, invalid, _bound_flags(spec, shape))
+    return PhaseGrid(spec, cells, _bound_flags(spec, shape))
 
 
 def phase_csv(grid):

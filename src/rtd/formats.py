@@ -46,6 +46,10 @@ OPS_MAGIC = "rtd-ops v1"
 # an operator line with NumPy's 64 extents, each below 2**63, takes under
 # 1.3 KB.
 HEADER_MAX = 64 << 10
+# Most characters of one whitespace-separated field of an operator or key
+# file: the longest a valid file holds is a 24-character float repr, and a
+# seed or extent has at most 20 digits.  So no later message quotes more.
+FIELD_MAX = 32
 # A number field has at most 20 digits: no more are needed below 2**64, and
 # int() refuses strings of over 4300 digits with a ValueError.
 _TENSOR_HEADER = re.compile(TENSOR_MAGIC.encode() + rb"\nshape (\d{1,20})((?: \d{1,20})*)\ndtype f64\n")
@@ -127,9 +131,11 @@ def write_lines(path, lines):
 def read_lines(path, magic, error):
     """The stripped, nonblank lines of text file ``path`` after its magic line.
 
-    A file larger than HEADER_MAX bytes, one that is not UTF-8 text, or one
-    whose first nonblank line is not ``magic`` raises ``error``, the reading
-    format's own RtdError; a larger file is refused unread past that bound.
+    A file larger than HEADER_MAX bytes, one that is not UTF-8 text, one
+    whose first nonblank line is not ``magic``, or one with a field longer
+    than FIELD_MAX characters raises ``error``, the reading format's own
+    RtdError; a larger file is refused unread past that bound.  No message
+    quotes more than 80 characters of the file.
     """
     with open(path, "rb") as fh:
         data = fh.read(HEADER_MAX + 1)
@@ -141,6 +147,9 @@ def read_lines(path, magic, error):
         raise error(f"{path} is not text: {exc}") from None
     if not lines or lines[0] != magic:
         raise error(f"bad magic line in {path}: expected {magic!r}, got {str(lines[:1])[:80]}")
+    long = [field for ln in lines for field in ln.split() if len(field) > FIELD_MAX]
+    if long:
+        raise error(f"{path}: a field over {FIELD_MAX} characters: {repr(long[0])[:80]}")
     return lines[1:]
 
 
@@ -167,9 +176,9 @@ def read_ops(path):
             seed = int(fields[2]) if seeded else None
             shape = tuple(int(v) for v in fields[2 + seeded:])
         except (IndexError, ValueError):
-            raise MalformedHeader(f"malformed operator line {ln!r}") from None
+            raise MalformedHeader(f"malformed operator line {ln[:80]!r}") from None
         if not shape:
-            raise MalformedHeader(f"operator line missing tensor shape: {ln!r}")
+            raise MalformedHeader(f"operator line missing tensor shape: {ln[:80]!r}")
         ops.append(ReshuffleOp(m, n, shape, seed))
     if not ops:
         raise MalformedHeader(f"no operators listed in {path}")

@@ -44,7 +44,8 @@ class ReshuffleOp:
     gathers through it.  It is held in ``rng.index_dtype(size)``, the
     narrowest unsigned type of its largest index: 1 byte per entry up to 256
     entries, 2 up to 2**16 and 4 up to 2**32.  ``inv_perm``, its inverse in
-    the same dtype, is built afresh on each read.
+    the same dtype, is built from ``perm`` afresh on each read, for the
+    identity as for any other operator.
     """
 
     m: int
@@ -72,8 +73,6 @@ class ReshuffleOp:
 
     @property
     def inv_perm(self):
-        if self.seed is None:
-            return self.perm
         inv_perm = np.empty_like(self.perm)
         inv_perm[self.perm] = np.arange(self.size, dtype=inv_perm.dtype)
         return _freeze(inv_perm)

@@ -51,13 +51,13 @@ def check_seed(seed, name="seed", optional=False):
     raise BadIndex(f"{name} must be {'None or ' * optional}an integer in [0, 2**64), got {seed!r}")
 
 
-def bulk_u64(seed, count, start=0):
-    """Outputs start+1 .. start+count of the stream, as a uint64 array.
+def bulk_u64(seed, count):
+    """The first ``count`` outputs of the stream, as a uint64 array.
 
-    Output k is ``mix64(seed + k * GOLDEN)``: the state steps by the golden
-    gamma and each output mixes the new state.
+    Output k (from 1) is ``mix64(seed + k * GOLDEN)``: the state steps by the
+    golden gamma and each output mixes the new state.
     """
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    idx = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK) + idx * np.uint64(GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)

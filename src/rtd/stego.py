@@ -69,21 +69,13 @@ class StegoKey:
         object.__setattr__(self, "master_seed", check_seed(self.master_seed, "master seed"))
 
     @cached_property
-    def channel_ops(self):
-        """The three channel reshuffles, built once per key and shared by
-        conceal and every reveal with it."""
-        sh, sw = self.secret_dims
-        return tuple(
-            reshuffle_from_seed(sh, sw, self.cover_dims, derive_seed(self.master_seed, c))
-            for c in range(3)
-        )
-
-    @property
     def ops(self):
         """The cover's identity reshuffle, then the three channel reshuffles:
-        the operators conceal observes through and reveal solves with.  A
-        fresh list on each read, so the key caches only ``channel_ops``."""
-        return [reshuffle_identity(*self.cover_dims, self.cover_dims), *self.channel_ops]
+        the operators conceal observes through and reveal solves with,
+        built once per key and shared by conceal and every reveal with it."""
+        seeds = (derive_seed(self.master_seed, c) for c in range(3))
+        return (reshuffle_identity(*self.cover_dims, self.cover_dims),
+                *(reshuffle_from_seed(*self.secret_dims, self.cover_dims, s) for s in seeds))
 
 
 def conceal(cover, secret, strength=0.05, master_seed=0, mode="float"):

@@ -197,7 +197,7 @@ def test_incoherence_single_op_vacuous():
     op = reshuffle_identity(3, 3, (9,))
     est = incoherence_lower_bound(A, [op], 0)
     assert est.value == 0.0
-    assert est.restart_values == [0.0] * est.restarts
+    assert est.restart_values == [0.0] * 8
     assert all(est.converged)
 
 

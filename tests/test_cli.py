@@ -156,6 +156,23 @@ def test_decompose_operator_shape_mismatch_exits_2(tmp_path, capsys, no_permutat
     assert not (tmp_path / "o").exists()
 
 
+def test_a_long_field_exits_2_with_a_short_message(tmp_path, capsys):
+    tensor, ops, key = tmp_path / "x.rtd", tmp_path / "ops.txt", tmp_path / "stego.key"
+    write_tensor(np.zeros(4), tensor)
+    ops.write_text(f"rtd-ops v1\nidentity 2 {'x' * 60000}\n")
+    key.write_text(f"rtd-stego v1\nseed {'9' * 4000}\ncover 2 2\nsecret 2 2\n"
+                   "strength 0.05\nmode float\n")
+    for argv in (
+        ["decompose", "--tensor", str(tensor), "--ops", str(ops), "--out-dir", str(tmp_path / "o")],
+        ["reveal", "--container", str(tmp_path / "c.pgm"), "--key", str(key),
+         "--out", str(tmp_path / "s.ppm")],
+    ):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert "a field over" in err and "Traceback" not in err, argv[0]
+        assert len(err) < 300, argv[0]
+
+
 def test_decompose_rejects_an_operator_seed_out_of_range(tmp_path, capsys):
     tensor = tmp_path / "x.rtd"
     write_tensor(np.zeros(4), tensor)

@@ -125,8 +125,8 @@ def test_phase_grid_tiny():
     grid = run_phase_grid(spec)
     assert grid.cells.shape == (2, 2)
     # r=6 > n=5 is not a valid instance
-    assert grid.invalid[1, 0] and np.isnan(grid.cells[1, 0])
-    assert not grid.invalid[0, 0]
+    assert np.isnan(grid.cells[1, 0])
+    assert not np.isnan(grid.cells[0, 0])
     assert np.isfinite(grid.cells[0, 1])
     # n=20 exceeds the r=1, N=2 bound of 17, so the flag sits there
     assert grid.bound_flags[0, 1]
@@ -164,18 +164,16 @@ def test_render_heatmap_levels():
     spec = PhaseGridSpec("rank_vs_size", 2, ranks=(1, 2), axis=(5, 6), trials=1)
     cells = np.array([[30.0, 10.0], [20.0, np.nan]])
     flags = np.zeros((2, 2), dtype=bool)
-    invalid = np.zeros((2, 2), dtype=bool)
-    invalid[1, 1] = True
     from rtd.experiments import PhaseGrid
 
-    g = PhaseGrid(spec, cells, invalid, flags)
+    g = PhaseGrid(spec, cells, flags)
     img = render_heatmap(g, lo_db=15.0, hi_db=25.0)
     assert img.dtype == np.uint8
     assert img[0, 0] == 255  # saturated above hi
     assert img[0, 1] == 0  # below lo
     assert img[1, 0] == 128  # midpoint of the ramp
     assert img[1, 1] == 0  # invalid cell drawn black
-    g2 = PhaseGrid(spec, cells, invalid, np.array([[False, True], [False, False]]))
+    g2 = PhaseGrid(spec, cells, np.array([[False, True], [False, False]]))
     assert render_heatmap(g2)[0, 1] == 128  # bound marker overrides the ramp
     with pytest.raises(ValueError):
         render_heatmap(g, lo_db=25.0, hi_db=15.0)
@@ -243,7 +241,7 @@ def test_process_pool_matches_serial():
     )
     serial, pooled = run_phase_grid(phase, threads=1), run_phase_grid(phase, threads=2)
     assert phase_csv(pooled) == phase_csv(serial)
-    assert np.array_equal(pooled.invalid, serial.invalid)
+    assert np.array_equal(np.isnan(pooled.cells), np.isnan(serial.cells))
     noise = NoiseSweepSpec(n=20, N=2, ranks=(1, 2), snrs_db=(20, 30), trials=2, seed=1)
     assert run_noise_sweep(noise, threads=2) == run_noise_sweep(noise, threads=1)
     # At seed 2 two of these 24 trials drop every component.
@@ -276,7 +274,7 @@ def test_pool_starts_no_more_workers_than_cells(monkeypatch):
     assert phase_csv(run_phase_grid(spec, threads=64)) == phase_csv(serial)
     assert pools == [2]
     all_invalid = PhaseGridSpec("rank_vs_size", 2, ranks=(6,), axis=(5,), trials=1)
-    assert run_phase_grid(all_invalid, threads=4).invalid.all()
+    assert np.isnan(run_phase_grid(all_invalid, threads=4).cells).all()
     assert pools == [2]
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from rtd.errors import KeyMismatch, MalformedHeader, ShapeMismatch
 from rtd.formats import (
+    FIELD_MAX,
     HEADER_MAX,
     OPS_MAGIC,
     TENSOR_MAGIC,
@@ -18,7 +19,7 @@ from rtd.formats import (
 )
 from rtd.reshuffle import ReshuffleOp
 from rtd.rng import gaussians
-from rtd.stego import FORMAT_VERSION, read_key
+from rtd.stego import FORMAT_VERSION, StegoKey, read_key, write_key
 
 
 def _sparse(path, head):
@@ -145,6 +146,52 @@ def test_text_files_past_the_bound_are_refused_unread(tmp_path):
     path.write_text(text + " " * (HEADER_MAX + 1 - len(text)))
     with pytest.raises(MalformedHeader, match="larger than"):
         read_ops(path)
+
+
+KEY_TEXT = f"{FORMAT_VERSION}\nseed {{seed}}\ncover 4 4\nsecret 4 4\nstrength {{strength}}\nmode {{mode}}\n"
+
+# Files inside HEADER_MAX whose one overlong field made the error quote it
+# whole: 60,037 to 60,098 characters, or 4,050 to 8,040 for a 4,000-digit
+# number.
+LONG_FIELD_FILES = {
+    "ops kind": (read_ops, f"{OPS_MAGIC}\n{'k' * 60000} 2 2 4\n"),
+    "ops field": (read_ops, f"{OPS_MAGIC}\nidentity 2 {'x' * 60000}\n"),
+    "ops seed": (read_ops, f"{OPS_MAGIC}\nseeded 2 2 {'9' * 4000} 4\n"),
+    "ops extent": (read_ops, f"{OPS_MAGIC}\nidentity 2 2 {'9' * 4000}\n"),
+    "key seed": (read_key, KEY_TEXT.format(seed="9" * 4000, strength="0.05", mode="float")),
+    "key strength": (read_key, KEY_TEXT.format(seed=1, strength="x" * 60000, mode="float")),
+    "key mode": (read_key, KEY_TEXT.format(seed=1, strength="0.05", mode="m" * 60000)),
+}
+
+
+@pytest.mark.parametrize("name", LONG_FIELD_FILES)
+def test_a_long_field_is_refused_with_a_short_message(tmp_path, name):
+    read, text = LONG_FIELD_FILES[name]
+    path = tmp_path / "file.txt"
+    path.write_text(text)
+    error = MalformedHeader if read is read_ops else KeyMismatch
+    with pytest.raises(error, match=f"a field over {FIELD_MAX} characters") as info:
+        read(path)
+    assert len(str(info.value)) < 300
+
+
+def test_the_longest_valid_fields_pass(tmp_path):
+    # A 20-digit seed in both formats, and a 23-character strength repr.
+    path = tmp_path / "ops.txt"
+    ops = [ReshuffleOp(2, 2, (4,), (1 << 64) - 1)]
+    write_ops(ops, path)
+    assert read_ops(path) == ops
+    key = StegoKey((1 << 64) - 1, (4, 4), (4, 4), 1.2345678901234567e-300)
+    write_key(key, path)
+    assert read_key(path) == key
+
+
+def test_a_many_field_operator_line_is_quoted_in_part(tmp_path):
+    path = tmp_path / "ops.txt"
+    path.write_text(f"{OPS_MAGIC}\nidentity 2 {'x ' * 30000}\n")
+    with pytest.raises(MalformedHeader, match="malformed operator line") as info:
+        read_ops(path)
+    assert len(str(info.value)) < 300
 
 
 def test_ops_roundtrip(tmp_path):

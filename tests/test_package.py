@@ -27,6 +27,14 @@ CALLED_ONLY_FROM_OUTSIDE = {
     "write_ops": "the writer of the rtd-ops v1 format that read_ops reads",
 }
 
+# Public fields and methods of public classes of src/rtd that neither the
+# package nor the benchmark reads, and why each stays.
+READ_ONLY_FROM_OUTSIDE = {
+    "SvtStep.rank": "the rank kept per SVT call, for the solver's own report (items 4, 13, 19)",
+    "SvtStep.partial": "whether the SVT call was partial, for the same report",
+    "IncoherenceEstimate.restart_values": "the per-restart diagnostics of the ascent",
+}
+
 
 def _modules(directory):
     """Parsed modules of ``directory``, its test files left out."""
@@ -57,6 +65,32 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     used = {part for _, _, path in HOOKS for part in path.split(".")}
     used = used.union(*map(_names_used, package + _modules(Path(perfbench.__file__).parent)))
     assert sorted(defined - used) == sorted(CALLED_ONLY_FROM_OUTSIDE)
+
+
+def _attributes_read(tree):
+    """Every name read as an attribute in ``tree``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    """A public field or method of a public class of src/rtd is read as an
+    attribute in src/rtd or the benchmark; the tests alone do not keep it.
+    Like the definition lint above, this goes by name."""
+    package = _modules(Path(rtd.__file__).parent)
+    members = set()
+    for tree in package:
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        members.add((cls.name, node.target.id))
+                    elif isinstance(node, ast.FunctionDef):
+                        members.add((cls.name, node.name))
+    read = set().union(*map(_attributes_read, package + _modules(Path(perfbench.__file__).parent)))
+    unread = {f"{cls}.{name}" for cls, name in members
+              if not name.startswith("_") and name not in read}
+    assert sorted(unread) == sorted(READ_ONLY_FROM_OUTSIDE)
 
 
 def test_every_import_is_used():

@@ -156,7 +156,7 @@ def test_fields_describe_the_operator():
     assert op.inv_perm[op.perm].tolist() == list(range(12))
     ident = ReshuffleOp(3, 4, (12,))
     assert ident == reshuffle_identity(3, 4, (12,))
-    assert ident.seed is None and ident.inv_perm is ident.perm
+    assert ident.seed is None and np.array_equal(ident.inv_perm, ident.perm)
 
 
 def test_shapes_are_checked_before_any_permutation_is_built(monkeypatch):
