@@ -27,7 +27,8 @@ their repr, so they read back bit for bit, and anything else as str.
 
 No input file is read past HEADER_MAX bytes before it is checked:
 ``read_header`` matches a binary header (tensors here, images in netpbm)
-within that bound, and ``read_lines`` refuses a longer text file.
+within that bound, and ``read_lines`` refuses a longer text file, or one
+with a field longer than FIELD_MAX characters.
 """
 
 import math

@@ -12,11 +12,10 @@ def low_rank_image(h, w, rank, seed, peak=0.8):
     return M * (peak / M.max())
 
 
-def with_perm(op, perm, m=None, n=None):
-    """A fresh ReshuffleOp with op's fields, or extents (m, n) in their place,
-    whose cached ``perm`` is set to a frozen, contiguous copy of ``perm``.
-    The copy must keep op's dtype, as a built permutation does."""
-    m, n = op.m if m is None else m, op.n if n is None else n
+def with_perm(op, perm, m, n):
+    """A fresh m x n ReshuffleOp with op's tensor shape and seed, whose cached
+    ``perm`` is set to a frozen, contiguous copy of ``perm``.  The copy must
+    keep op's dtype, as a built permutation does."""
     moved = ReshuffleOp(m, n, op.dst_shape, op.seed)
     perm = np.array(perm, order="C")
     assert perm.dtype == op.perm.dtype
@@ -30,7 +29,7 @@ def relabelled(X, ops, P):
     by the permutation P: cell k moves to P[k], so each perm becomes P[perm]."""
     moved_X = np.empty(X.size)
     moved_X[P] = X.ravel()
-    return moved_X.reshape(X.shape), [with_perm(op, P[op.perm]) for op in ops]
+    return moved_X.reshape(X.shape), [with_perm(op, P[op.perm], op.m, op.n) for op in ops]
 
 
 def assert_same_run(result, base, label):

@@ -30,7 +30,7 @@ CALLED_ONLY_FROM_OUTSIDE = {
 # Public fields and methods of public classes of src/rtd that neither the
 # package nor the benchmark reads, and why each stays.
 READ_ONLY_FROM_OUTSIDE = {
-    "SvtStep.rank": "the rank kept per SVT call, for the solver's own report (items 4, 13, 19)",
+    "SvtStep.rank": "the rank kept per SVT call, for a per-sweep report of the solve",
     "SvtStep.partial": "whether the SVT call was partial, for the same report",
     "IncoherenceEstimate.restart_values": "the per-restart diagnostics of the ascent",
 }

@@ -268,43 +268,50 @@ def test_results_do_not_change_with_the_scale_of_the_observation():
 RELATION_CASES = ((40, 2, 2, 5), (100, 4, 3, 1), (20, 4, 2, 7))
 
 
+@pytest.fixture(scope="module")
+def relation_runs():
+    """(case, ops, X, decompose's result) for each of RELATION_CASES."""
+    runs = []
+    for case in RELATION_CASES:
+        _, ops, X = make_instance(*case)
+        runs.append((case, ops, X, decompose(Problem(X, ops))))
+    return runs
+
+
 def relative_error(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
-def test_results_do_not_change_when_the_cells_are_relabelled():
+def test_results_do_not_change_when_the_cells_are_relabelled(relation_runs):
     # Relabel the tensor's cells by one permutation P: each operator's perm
     # becomes P[perm] and X moves with it.  The sweep works in the
     # components' layouts, so only the sum behind ||X|| changes order.
     # Measured: residual and dual at most 2.9e-16 relative, in (20, 4, 2, 7).
-    for case in RELATION_CASES:
-        _, ops, X = make_instance(*case)
+    for case, ops, X, base in relation_runs:
         moved_X, moved_ops = relabelled(X, ops, random_permutation(X.size, 1))
-        assert_same_run(decompose(Problem(moved_X, moved_ops)), decompose(Problem(X, ops)), case)
+        assert_same_run(decompose(Problem(moved_X, moved_ops)), base, case)
 
 
-def test_transposing_every_component_transposes_the_result():
+def test_transposing_every_component_transposes_the_result(relation_runs):
     # Operator i read as an n x m matrix maps A_i.T where it mapped A_i, so
     # the same X splits into the transposed components.  Not bit-exact: the
     # SVD sees the transpose.  Measured: equal sweeps (20, 21, 102) and
     # components within 1.8e-10, 4.7e-9 and 9.7e-10 relative.
-    for case in RELATION_CASES:
-        _, ops, X = make_instance(*case)
+    for case, ops, X, base in relation_runs:
         flipped = [with_perm(op, op.perm.reshape(op.m, op.n).T.ravel(), op.n, op.m)
                    for op in ops]
-        base, result = decompose(Problem(X, ops)), decompose(Problem(X, flipped))
+        result = decompose(Problem(X, flipped))
         assert result.iterations == base.iterations, case
         for got, want in zip(result.components, base.components):
             assert relative_error(got.T, want) <= 5e-8, case
 
 
-def test_reordering_the_components_reorders_the_result():
+def test_reordering_the_components_reorders_the_result(relation_runs):
     # The sweep is Gauss-Seidel, so another order takes other steps to the
     # same split.  Measured: sweeps 20/20, 21/21 and 102/103, and components
     # within 6.8e-8, 1.5e-7 and 1.2e-7 relative.
-    for case in RELATION_CASES:
-        _, ops, X = make_instance(*case)
-        base, result = decompose(Problem(X, ops)), decompose(Problem(X, ops[::-1]))
+    for case, ops, X, base in relation_runs:
+        result = decompose(Problem(X, ops[::-1]))
         assert abs(result.iterations - base.iterations) <= 1, case
         for got, want in zip(result.components[::-1], base.components):
             assert relative_error(got, want) <= 1e-6, case
