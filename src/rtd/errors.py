@@ -1,6 +1,7 @@
 """Exception types raised across the library, and the input rules that raise
 them: integers (``check_ints``), counts (``check_count``) and finite positive
-numbers (``check_positive``).  Each rule takes the class its caller raises."""
+numbers (``check_positive``).  Each rule takes the class its caller raises.
+``quoted`` keeps a value a message quotes short."""
 
 import math
 import numbers
@@ -59,6 +60,28 @@ class UnsupportedMaxval(RtdError):
     """Netpbm maxval other than 255 or 65535."""
 
 
+# A message quotes a value in full up to this many characters.
+QUOTE_MAX = 60
+
+
+def quoted(value):
+    """``value`` as an error message quotes it: its repr up to QUOTE_MAX
+    characters.  Past that a tuple is given by its length, an
+    integer of more than 3 * QUOTE_MAX bits by its count of bits (its digits
+    are never built: past ``sys.get_int_max_str_digits`` Python refuses
+    them), and anything else is cut."""
+    if isinstance(value, int) and value.bit_length() > 3 * QUOTE_MAX:
+        return f"an integer of {value.bit_length()} bits"
+    if not isinstance(value, tuple):
+        text = repr(value)
+        return text if len(text) <= QUOTE_MAX else f"{text[:QUOTE_MAX]}..."
+    entries = ", ".join(map(quoted, value[:QUOTE_MAX]))
+    text = f"({entries},)" if len(value) == 1 else f"({entries})"
+    if len(value) <= QUOTE_MAX and len(text) <= QUOTE_MAX:
+        return text
+    return f"a tuple of length {len(value)}"
+
+
 def check_ints(values, error, name):
     """``values`` as a tuple of Python ints, or ``error`` unless each is an
     integer.  The rule is ``operator.index``: NumPy integers pass, and a
@@ -66,7 +89,7 @@ def check_ints(values, error, name):
     try:
         return tuple(operator.index(v) for v in values)
     except TypeError:
-        raise error(f"{name} must be integers, got {values!r}") from None
+        raise error(f"{name} must be integers, got {quoted(values)}") from None
 
 
 def check_count(value, error, name, low=1):
@@ -74,7 +97,7 @@ def check_count(value, error, name, low=1):
     rule of ``check_ints``) of at least ``low``."""
     (value,) = check_ints((value,), error, name)
     if value < low:
-        raise error(f"{name} must be >= {low}, got {value}")
+        raise error(f"{name} must be >= {low}, got {quoted(value)}")
     return value
 
 

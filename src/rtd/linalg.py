@@ -5,11 +5,13 @@ defined by contract on the factors: reconstruction within 1e-8 relative,
 orthonormal columns within 1e-10.  The solver's thresholding can instead
 run a partial SVD warm-started from a basis that each step hands to the
 next (``svt_with_values``), since its iterates are low rank and everything
-below the threshold is discarded anyway.
+below the threshold is discarded anyway; for the same reason a threshold is
+held as its factors, and a large one is thresholded again from them.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,19 +70,39 @@ def svt(M, alpha):
 class SvtStep:
     """What one ``svt_with_values`` call did.
 
-    ``out`` is the thresholded matrix and ``nuclear`` its nuclear norm, the
-    sum of the ``rank`` kept values S - alpha.  ``basis`` (n x w, orthonormal
-    columns) is the next call's warm start: the kept right singular vectors
-    plus the next OVERSAMPLE of them, as many as the factorization holds.
-    ``partial`` says whether ``_partial_svd`` was accepted, rather than the
-    full SVD run.
+    The thresholded matrix is held as its factors A = L V^T (Cai, Candes
+    and Shen 2010, SIAM J. Optim. 20(4): the iterates of singular-value
+    thresholding are low rank, so they can be kept as their SVD factors).
+    ``L`` (m x rank) is U diag(S - alpha) over the ``rank`` kept columns,
+    and V is the first ``rank`` columns of ``basis``.  ``out`` is A as a
+    dense matrix, formed on its first read and then kept; a step of a sweep
+    at or below FACTORED_ABOVE entries formed it as it ran.
+    ``nuclear`` is the nuclear norm of A, the sum of the kept values
+    S - alpha, and ``change`` is ||A - A0||_F^2 for the previous threshold
+    A0 the call was given (A0 = 0 without one).  ``basis`` (n x w,
+    orthonormal columns) is the next call's warm start: the kept right
+    singular vectors plus the next OVERSAMPLE of them, as many as the
+    factorization holds.  ``partial`` says whether ``_partial_svd`` was
+    accepted, rather than the full SVD run.
     """
 
-    out: np.ndarray
+    L: np.ndarray
     nuclear: float
     rank: int
     basis: np.ndarray
     partial: bool
+    change: float
+
+    @cached_property
+    def out(self):
+        return from_factors(self.L, self.basis)
+
+
+def from_factors(L, basis):
+    """The dense L V^T, V the first L.shape[1] columns of ``basis``.  V^T is
+    copied to contiguous rows first, the layout of the SVD's own V^T: BLAS
+    can round a product with a strided operand differently."""
+    return L @ np.ascontiguousarray(basis[:, : L.shape[1]].T)
 
 
 # Ritz vectors kept beyond the kept rank, so the next call can see the rank grow.
@@ -89,10 +111,37 @@ OVERSAMPLE = 6
 POWER_STEPS = 2
 # A block is accepted once this many of its Ritz values fall below alpha.
 TAIL_BELOW = 2
+# A running block of more entries than this is thresholded from the factors
+# of the previous threshold; one of at most this many forms M = R + A0 and
+# the change A - A0 as dense matrices, the bytes of a dense solve.  Chosen
+# by measurement, the factored over the dense time of one
+# make_instance(n, 4, 2, 1) solve (medians of 7-21 interleaved runs, BLAS
+# at one thread): 1.18x at n = 96, 1.09x at 112, 0.88-1.00x at 128, 0.82x
+# at 136, 0.78x at 144 and 0.76-0.86x from 160 to 256.
+FACTORED_ABOVE = 128 * 128
 
 
 def _orth(A):
     return np.linalg.qr(A)[0]
+
+
+class _PlusFactors:
+    """M = R + L V^T, unformed: the products M Q and M^T B that the subspace
+    iteration takes, each one pass over R plus thin products of the factors."""
+
+    def __init__(self, R, L, V):
+        self.R, self.L, self.V = R, L, V
+        self.shape = R.shape
+
+    @property
+    def T(self):
+        return _PlusFactors(self.R.T, self.V, self.L)
+
+    def __matmul__(self, Q):
+        # An infinity in R makes NaN here (inf * 0), which _partial_svd
+        # refuses with NonFinite; NumPy need not warn of it first.
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self.R @ Q + self.L @ (self.V.T @ Q)
 
 
 def _partial_svd(M, alpha, V):
@@ -104,41 +153,82 @@ def _partial_svd(M, alpha, V):
     Li, Linderman, Szlam, Stanton, Kluger and Tygert (2017, ACM TOMS
     Algorithm 971): POWER_STEPS QRs per call.  The Rayleigh-Ritz step is on
     the right subspace, the thin SVD of M Q = U S W^T giving M ~ U S (Q W)^T.
+    M is a dense matrix or a ``_PlusFactors``: only its products are taken.
     Forming M^T M squares the spectrum within a step, so block singular
     values below about sqrt(eps) * s_max (1.5e-8 relative) lose accuracy.
     Returns None, so the caller runs the full SVD, when the block is wider
     than min(m, n) // 2, where a full SVD is cheaper, or when fewer than
-    TAIL_BELOW Ritz values fall below alpha.
+    TAIL_BELOW Ritz values fall below alpha.  Raises NonFinite when a
+    factored M has a NaN or infinite entry, which reaches its row of M Q.
     """
     if V.shape[1] > min(M.shape) // 2:
         return None
     Q = V
     for _ in range(POWER_STEPS):
         Q = _orth(M.T @ (M @ Q))
-    U, S, Wt = np.linalg.svd(M @ Q, full_matrices=False)
+    MQ = M @ Q
+    # A dense M was checked when it was formed; a factored one never is.
+    if isinstance(M, _PlusFactors) and not np.isfinite(MQ).all():
+        raise NonFinite("matrix contains NaN or Inf")
+    U, S, Wt = np.linalg.svd(MQ, full_matrices=False)
     if S.size < TAIL_BELOW or S[-TAIL_BELOW] >= alpha:
         return None
     return U, S, Wt @ Q.T
 
 
-def svt_with_values(M, alpha, basis=None):
-    """svt as an ``SvtStep``, with the nuclear norm of the result (which
-    the solver logs for free) and the warm start of the next call.
+def svt_with_values(R, alpha, basis=None, previous=None):
+    """svt as an ``SvtStep``: the threshold's factors, its nuclear norm
+    (which the solver logs for free) and the warm start of the next call.
 
     With ``basis=None`` this is an exact full SVD.  With a basis (the one
     the previous step returned, or a start block such as the orthonormalised
     Gaussian block of Halko, Martinsson and Tropp 2011, section 4.1) it is
     ``_partial_svd`` from that basis, accurate to the subspace iteration;
     the full SVD still runs whenever ``_partial_svd`` returns None.
+
+    Without ``previous`` the call thresholds M = R and leaves R alone.
+    ``previous`` is the ``SvtStep`` of the last threshold A0 = L0 V0^T (one
+    of rank 0 for A0 = 0); with it the call is one step of a sweep (Cai,
+    Candes and Shen 2010): R is the running block, the call thresholds
+    M = R + A0 and subtracts D = A - A0 from R in place, so that R + A is
+    M.  Above FACTORED_ABOVE entries M is formed only for the full SVD: the
+    subspace iteration takes R Q + L0 (V0^T Q), and D is the one product
+    [L, -L0] [V, V0]^T of the two factor pairs.  At or below it, M and D
+    are dense and A0 is ``previous.out``, which that step formed: the bytes
+    of a solve that holds its components dense.  ``change`` is ||D||_F^2,
+    summed from D's entries: a sum from the factors,
+    ||A||^2 + ||A0||^2 - 2 <A, A0>, loses it to cancellation as A nears A0.
     """
-    M = _as_finite_matrix(M)
+    factored = previous is not None and R.size > FACTORED_ABOVE
+    if factored:
+        L0, V0 = previous.L, previous.basis[:, : previous.rank]
+        M = _PlusFactors(R, L0, V0)
+    else:
+        M = _as_finite_matrix(R if previous is None else R + previous.out)
     factors = None if basis is None else _partial_svd(M, alpha, basis)
     partial = factors is not None
+    if not partial and factored:
+        M = _as_finite_matrix(R + from_factors(L0, previous.basis))
     U, S, Vt = factors if partial else np.linalg.svd(M, full_matrices=False)
     shrunk = S - alpha
     k = int((shrunk > 0.0).sum())  # S is nonincreasing, so the kept ones are a prefix
-    return SvtStep(out=(U[:, :k] * shrunk[:k]) @ Vt[:k, :], nuclear=float(shrunk[:k].sum()),
-                   rank=k, basis=np.ascontiguousarray(Vt[: k + OVERSAMPLE].T), partial=partial)
+    L, kept = U[:, :k] * shrunk[:k], np.ascontiguousarray(Vt[: k + OVERSAMPLE].T)
+    A = None
+    if previous is None:
+        change = float(shrunk[:k] @ shrunk[:k])
+    else:
+        if factored:
+            D = np.hstack([L, -L0]) @ np.hstack([kept[:, :k], V0]).T
+        else:
+            A = L @ Vt[:k]
+            D = A - previous.out
+        R -= D
+        change = float(np.vdot(D, D))
+    step = SvtStep(L=L, nuclear=float(shrunk[:k].sum()), rank=k, basis=kept,
+                   partial=partial, change=change)
+    if A is not None:
+        step.__dict__["out"] = A  # out is a cached_property: this step formed it
+    return step
 
 
 def spectral_norm(M):

@@ -12,19 +12,25 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeMismatch, check_count, check_ints
+from .errors import ShapeMismatch, check_count, check_ints, quoted
 from .rng import MAX_PERMUTATION, check_seed, index_dtype, random_permutation
+
+
+# The most dimensions a NumPy array has, and so the most extents a tensor
+# has: 64 from NumPy 2.0, 32 before.
+MAX_EXTENTS = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 
 
 def _check_counts(m, n, dst_shape):
     m, n = (check_count(e, ShapeMismatch, "matrix extents") for e in (m, n))
     dst_shape = check_ints(dst_shape, ShapeMismatch, "tensor extents")
-    if len(dst_shape) < 1 or any(e < 1 for e in dst_shape):
-        raise ShapeMismatch(f"tensor extents must be >= 1, got {dst_shape}")
+    if not 1 <= len(dst_shape) <= MAX_EXTENTS:
+        raise ShapeMismatch(f"a tensor has 1 to {MAX_EXTENTS} extents, got {len(dst_shape)}")
+    if any(e < 1 for e in dst_shape):
+        raise ShapeMismatch(f"tensor extents must be >= 1, got {quoted(dst_shape)}")
     if m * n != math.prod(dst_shape):
-        raise ShapeMismatch(
-            f"element counts differ: {m}x{n} = {m * n} vs {dst_shape} = {math.prod(dst_shape)}"
-        )
+        raise ShapeMismatch(f"element counts differ: {quoted(m)}x{quoted(n)} = {quoted(m * n)}"
+                            f" vs {quoted(dst_shape)} = {quoted(math.prod(dst_shape))}")
     return dst_shape
 
 
@@ -58,7 +64,7 @@ class ReshuffleOp:
         object.__setattr__(self, "seed", check_seed(self.seed, "operator seed", optional=True))
         if self.seed is not None and self.size > MAX_PERMUTATION:
             raise ShapeMismatch(
-                f"a seeded operator relocates at most 2**32 entries, got {self.size}"
+                f"a seeded operator relocates at most 2**32 entries, got {quoted(self.size)}"
             )
 
     @property
@@ -81,7 +87,8 @@ class ReshuffleOp:
         """Relocate matrix ``A`` into a tensor of shape ``dst_shape``."""
         A = np.asarray(A)
         if A.shape != (self.m, self.n):
-            raise ShapeMismatch(f"expected {self.m}x{self.n} matrix, got {A.shape}")
+            raise ShapeMismatch(
+                f"expected {quoted(self.m)}x{quoted(self.n)} matrix, got {quoted(A.shape)}")
         out = np.empty(self.size, dtype=A.dtype)
         out[self.perm] = A.ravel()
         return out.reshape(self.dst_shape)
@@ -90,7 +97,8 @@ class ReshuffleOp:
         """Inverse relocation: pull tensor ``Y`` back to an m x n matrix."""
         Y = np.asarray(Y)
         if Y.shape != self.dst_shape:
-            raise ShapeMismatch(f"expected tensor of shape {self.dst_shape}, got {Y.shape}")
+            raise ShapeMismatch(
+                f"expected tensor of shape {quoted(self.dst_shape)}, got {quoted(Y.shape)}")
         return Y.ravel()[self.perm].reshape(self.m, self.n)
 
 
@@ -118,7 +126,8 @@ def observe(ops, matrices):
     total = np.zeros(ops[0].dst_shape)
     for op, A in zip(ops, matrices):
         if op.dst_shape != total.shape:
-            raise ShapeMismatch(f"operators map into {total.shape} and {op.dst_shape}")
+            raise ShapeMismatch(
+                f"operators map into {quoted(total.shape)} and {quoted(op.dst_shape)}")
         total += op.apply(A)
     return total
 
@@ -133,7 +142,7 @@ def cross_map(op_i, op_j):
     """
     if op_i.size != op_j.size:
         raise ShapeMismatch(
-            f"operators relocate different element counts: {op_i.size} vs {op_j.size}"
+            f"operators relocate different element counts: {quoted(op_i.size)} vs {quoted(op_j.size)}"
         )
     return op_j.inv_perm[op_i.perm].astype(np.intp)
 

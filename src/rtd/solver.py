@@ -18,6 +18,9 @@ warm-started from the right singular subspace it kept in the previous sweep
 (the ``basis`` of the ``rtd.linalg.SvtStep`` that sweep returned), and in
 the first sweep from ``rtd.linalg.start_basis``, the orthonormal Gaussian
 block of width OVERSAMPLE + TAIL_BELOW seeded by the component's index.
+Each component is held as the factors (L, V) of its last threshold for the
+whole solve (Cai, Candes and Shen 2010), and formed as a dense matrix only
+for the result.
 """
 
 import dataclasses
@@ -27,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceDetected, NonFinite, ShapeMismatch, check_count, check_positive
-from .linalg import binary_scaled, spectral_norm, start_basis, svt_with_values
+from .errors import (DivergenceDetected, NonFinite, ShapeMismatch, check_count, check_positive,
+                     quoted)
+from .linalg import (SvtStep, binary_scaled, from_factors, spectral_norm, start_basis,
+                     svt_with_values)
 from .formats import csv_text
 from .reshuffle import cross_map
 from .rng import derive_seed
@@ -100,9 +105,8 @@ class Problem:
             raise ShapeMismatch("need at least one component")
         for op in self.ops:
             if tuple(op.dst_shape) != self.X.shape:
-                raise ShapeMismatch(
-                    f"operator maps into {op.dst_shape}, observation has shape {self.X.shape}"
-                )
+                raise ShapeMismatch(f"operator maps into {quoted(op.dst_shape)},"
+                                    f" observation has shape {quoted(self.X.shape)}")
 
 
 @dataclass
@@ -162,8 +166,16 @@ def decompose(problem, config=None):
     being updated, so a component's pullback is r + A_i and its update
     subtracts new A_i - old A_i in place; one gather through
     reshuffle.cross_map then moves r into the next component's layout,
-    N gathers per sweep.  Y is kept in component 0's layout, where the sweep
-    ends; kappa is a running product.  The scheme runs on X * 2**-e, with e
+    N gathers per sweep.  Singular-value thresholding keeps its iterates
+    low rank, so each A_i is held for the whole solve as the factors
+    A_i = L V^T of its last threshold, L = U diag(S - 1/kappa) over the kept
+    columns (Cai, Candes and Shen 2010, SIAM J. Optim. 20(4)), and
+    ``svt_with_values`` takes r's block with them: a large component's
+    pullback and update are taken through the factors, a small one's as
+    dense matrices (``rtd.linalg.FACTORED_ABOVE``).  The dense components
+    are formed once, at the return, after the sweep's arrays are released.
+    Y is kept in component 0's layout, where the sweep ends; kappa is a
+    running product.  The scheme runs on X * 2**-e, with e
     the binary exponent of max|X|: the power-of-two scale is exact, so the
     components come back exactly c times as large for X scaled by any
     power of two c, and no norm over- or underflows at extreme magnitudes.
@@ -189,8 +201,10 @@ def decompose(problem, config=None):
     kappa = float(default_kappa0(Problem(X, ops)))
     kappa_max = math.ldexp(sys.float_info.max, min(e, 0))
 
-    comps = [np.zeros((op.m, op.n)) for op in ops]
-    bases = [start_basis(op.n, derive_seed(0, i)) for i, op in enumerate(ops)]
+    # The last threshold of each component, held as its factors; before the
+    # first sweep, A_i = 0 with a seeded start block.
+    held = [SvtStep(L=np.zeros((op.m, 0)), nuclear=0.0, rank=0, partial=False, change=0.0,
+                    basis=start_basis(op.n, derive_seed(0, i))) for i, op in enumerate(ops)]
     # r and y are flat, in a component's matrix layout: steps[i] gathers
     # component i's layout into the next one's, and the last step wraps
     # round to component 0, where each sweep starts and ends.
@@ -209,13 +223,11 @@ def decompose(problem, config=None):
         objective = 0.0
         delta_sq = 0.0
         for i, op in enumerate(ops):
-            svt_step = svt_with_values(r.reshape(op.m, op.n) + comps[i], 1.0 / kappa, bases[i])
+            svt_step = svt_with_values(r.reshape(op.m, op.n), 1.0 / kappa, held[i].basis, held[i])
             objective += svt_step.nuclear
-            d = svt_step.out - comps[i]
-            delta_sq += float(np.vdot(d, d))
-            r -= d.ravel()
+            delta_sq += svt_step.change
             r = r[steps[i]]
-            comps[i], bases[i] = svt_step.out, svt_step.basis
+            held[i] = svt_step
         diff = r - y / kappa
         y += GAMMA * kappa * diff
         residual = float(np.linalg.norm(diff)) / scale
@@ -233,8 +245,12 @@ def decompose(problem, config=None):
     # by 2**0); an entry too large for float64 there becomes inf.
     with np.errstate(over="ignore"):
         residuals, objectives, kappas, duals = np.ldexp(history, [0, e, -e, -e]).T.tolist()
+    # Freed before the dense components are formed, which would otherwise
+    # set the solve's peak memory; from_factors, unlike a step's cached
+    # out, keeps no second copy of each.
+    del r, y, diff, steps
     return SolverResult(
-        components=[np.ldexp(a, e) for a in comps],
+        components=[np.ldexp(from_factors(step.L, step.basis), e) for step in held],
         iterations=len(residuals),
         converged=residual <= config.tol,
         residual_history=residuals,

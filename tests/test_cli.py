@@ -173,6 +173,27 @@ def test_a_long_field_exits_2_with_a_short_message(tmp_path, capsys):
         assert len(err) < 300, argv[0]
 
 
+def test_a_long_operator_shape_exits_2_with_a_short_message(tmp_path, capsys):
+    # Every field is short and each line fits in HEADER_MAX.  At the
+    # 30,000 one-extents the message quoted every extent (90,053 bytes).
+    tensor, ops = tmp_path / "x.rtd", tmp_path / "ops.txt"
+    write_tensor(np.zeros(1), tensor)
+    for line, message in (
+        ("identity 1 1" + " 1" * 30000, f"1 to {reshuffle.MAX_EXTENTS} extents, got 30000"),
+        ("identity 2 2" + f" {10**18}" * reshuffle.MAX_EXTENTS, "element counts differ"),
+        ("identity 1 1" + " 1" * reshuffle.MAX_EXTENTS, "operator maps into a tuple of"),
+    ):
+        ops.write_text(f"rtd-ops v1\n{line}\n")
+        assert main([
+            "decompose", "--tensor", str(tensor), "--ops", str(ops),
+            "--out-dir", str(tmp_path / "o"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "rtd: " in err and message in err and "Traceback" not in err, message
+        assert len(err) < 300, message
+    assert not (tmp_path / "o").exists()
+
+
 def test_decompose_rejects_an_operator_seed_out_of_range(tmp_path, capsys):
     tensor = tmp_path / "x.rtd"
     write_tensor(np.zeros(4), tensor)

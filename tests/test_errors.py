@@ -9,7 +9,7 @@ from rtd.analysis import (
     incoherence_lower_bound,
     recovery_bound_min_n,
 )
-from rtd.errors import BadIndex, BadRank, ShapeMismatch, StrengthOutOfRange
+from rtd.errors import QUOTE_MAX, BadIndex, BadRank, ShapeMismatch, StrengthOutOfRange, quoted
 from rtd.experiments import DropoutSpec, NoiseSweepSpec, PhaseGridSpec, make_instance
 from rtd.linalg import random_semi_orthonormal_pair
 from rtd.reshuffle import ReshuffleOp
@@ -84,3 +84,13 @@ def test_entry_points_refuse_bad_counts_and_positive_numbers(call, error, bad, g
         with pytest.raises(error):
             call(np.float64(value))
     call(good)
+
+
+def test_a_quoted_value_stays_short():
+    assert quoted((2, 3)) == "(2, 3)" and quoted((4,)) == "(4,)" and quoted(7) == "7"
+    assert quoted((1,) * 100) == "a tuple of length 100"
+    assert quoted((10**18,) * 4) == "a tuple of length 4"
+    # Python refuses the digits of an integer this long (ValueError).
+    assert quoted(10**5000) == f"an integer of {(10**5000).bit_length()} bits"
+    assert quoted((10**5000,)) == f"({quoted(10**5000)},)"
+    assert quoted("x" * 1000) == repr("x" * 1000)[:QUOTE_MAX] + "..."

@@ -294,6 +294,37 @@ def test_partial_svt_large_alpha_gives_zero():
     assert step.basis.shape == (64, OVERSAMPLE)
 
 
+def test_a_factored_step_matches_the_dense_one(monkeypatch):
+    # A 130 x 130 block is past FACTORED_ABOVE: the step takes M = R + L V0^T
+    # through the factors of the previous threshold.  With the crossover
+    # raised past it, the same step forms M and the change densely.
+    n, alpha = 130, 1.0
+    assert n * n > linalg_mod.FACTORED_ABOVE
+    previous = svt_with_values(gapped_matrix(n, n, [9.0, 7.0, 5.0], 1, tail=0.01), alpha,
+                               start_basis(n, 1))
+    M = gapped_matrix(n, n, [9.5, 7.0, 4.0, 3.0], 2, tail=0.01)
+    R = M - previous.out
+    # M is never formed for the partial SVD, but a NaN or an infinity in R
+    # is still refused.
+    for bad in (np.nan, np.inf):
+        block = R.copy()
+        block[3, 4] = bad
+        with pytest.raises(NonFinite):
+            svt_with_values(block, alpha, previous.basis, previous)
+    runs = []
+    for above in (linalg_mod.FACTORED_ABOVE, n * n):
+        monkeypatch.setattr(linalg_mod, "FACTORED_ABOVE", above)
+        block = R.copy()
+        runs.append((svt_with_values(block, alpha, previous.basis, previous), block))
+    (factored, factored_R), (dense, dense_R) = runs
+    assert factored.partial and dense.partial and factored.rank == dense.rank == 4
+    assert np.abs(factored.out - dense.out).max() <= 1e-12
+    assert np.abs(factored_R - dense_R).max() <= 1e-12
+    # R + A stays M, and the change is ||A - A0||_F^2.
+    assert np.abs(factored_R + factored.out - M).max() <= 1e-12
+    assert factored.change == pytest.approx(np.sum((dense.out - previous.out) ** 2), rel=1e-12)
+
+
 def test_partial_svt_reruns_identical():
     def run():
         basis = orthonormal(96, 2, 3)

@@ -30,8 +30,7 @@ CALLED_ONLY_FROM_OUTSIDE = {
 # Public fields and methods of public classes of src/rtd that neither the
 # package nor the benchmark reads, and why each stays.
 READ_ONLY_FROM_OUTSIDE = {
-    "SvtStep.rank": "the rank kept per SVT call, for a per-sweep report of the solve",
-    "SvtStep.partial": "whether the SVT call was partial, for the same report",
+    "SvtStep.partial": "whether the SVT call was partial, for a per-sweep report of the solve",
     "IncoherenceEstimate.restart_values": "the per-restart diagnostics of the ascent",
 }
 

@@ -7,6 +7,7 @@ from test_rng import reference_permutation
 import rtd.reshuffle as reshuffle
 from rtd.errors import BadIndex, ShapeMismatch
 from rtd.reshuffle import (
+    MAX_EXTENTS,
     ReshuffleOp,
     cross_map,
     observe,
@@ -168,6 +169,25 @@ def test_shapes_are_checked_before_any_permutation_is_built(monkeypatch):
     op = reshuffle_from_seed(20000, 20000, (400000000,), 1)
     with pytest.raises(ShapeMismatch, match="operator maps into"):
         Problem(np.zeros(16), [op])
+
+
+def test_a_long_shape_is_refused_with_a_short_message():
+    # NumPy holds at most MAX_EXTENTS dimensions, so a longer shape would
+    # pass here and make apply raise NumPy's own ValueError.  A shape of
+    # MAX_EXTENTS extents of 10**18 holds 10**1152 entries; in full, its
+    # message quoted 2,534 characters.
+    for shape, match in (((1,) * (MAX_EXTENTS + 1), f"1 to {MAX_EXTENTS} extents, got 65"),
+                         ((), f"1 to {MAX_EXTENTS} extents, got 0"),
+                         ((1,) * 30000, "got 30000"),
+                         ((10**18,) * MAX_EXTENTS, "element counts differ")):
+        with pytest.raises(ShapeMismatch, match=match) as info:
+            ReshuffleOp(1, 1, shape)
+        assert len(str(info.value)) < 300
+    op = ReshuffleOp(1, 1, (1,) * MAX_EXTENTS)
+    assert op.apply(np.ones((1, 1))).shape == (1,) * MAX_EXTENTS
+    with pytest.raises(ShapeMismatch, match=f"operator maps into a tuple of length {MAX_EXTENTS}") as info:
+        Problem(np.zeros(1), [op])
+    assert len(str(info.value)) < 300
 
 
 def test_cross_map_self_is_identity():

@@ -109,9 +109,12 @@ def test_deterministic_reruns():
 def test_divergence_detected(monkeypatch):
     real = solver_mod.svt_with_values
 
-    def amplify(M, alpha, basis=None):
-        step = real(M, alpha, basis)
-        return dataclasses.replace(step, out=10 * step.out)
+    def amplify(R, alpha, basis=None, previous=None):
+        # Ten times each threshold A: R + A stays the thresholded matrix, so
+        # R gives up 9 A more, and the held factor L is ten times as large.
+        step = real(R, alpha, basis, previous)
+        R -= 9 * step.out
+        return dataclasses.replace(step, L=10 * step.L)
 
     monkeypatch.setattr(solver_mod, "svt_with_values", amplify)
     problem, _ = two_component_problem()
@@ -165,15 +168,20 @@ def seeded_problem(shapes, size):
     "problem",
     [two_component_problem(n=12)[0], two_component_problem(n=16)[0],
      *(mixed_shape_problem(count) for count in (1, 2, 3)),
-     seeded_problem([(16, 16), (8, 32)], 256), seeded_problem([(1, 257), (257, 1)], 257)],
-    ids=["12", "16", "mixed-N1", "mixed-N2", "mixed-N3", "seeded-256", "seeded-257"],
+     seeded_problem([(16, 16), (8, 32)], 256), seeded_problem([(1, 257), (257, 1)], 257),
+     seeded_problem([(20, 1000), (40, 500)], 20000)],
+    ids=["12", "16", "mixed-N1", "mixed-N2", "mixed-N3", "seeded-256", "seeded-257",
+         "factored-20000"],
 )
 def test_running_vector_matches_the_plain_update(problem, monkeypatch):
     # Every threshold is a full SVD, as in the reference.  The mixed-shape
     # problems carry the running vector through layouts of other shapes
     # than the tensor's, and at N = 1 through the wrap-around step alone.
     # The seeded problems store their permutations as uint8 (256 entries)
-    # and uint16 (257 entries).
+    # and uint16 (257 entries).  The 20,000-entry one holds its components
+    # as factors (more than FACTORED_ABOVE entries), so its update is the
+    # product of two factor pairs; measured: components within 2.1e-15
+    # relative.
     monkeypatch.setattr(linalg_mod, "_partial_svd", lambda M, alpha, V: None)
     config = SolverConfig(max_iter=200, tol=1e-30)
     result = decompose(problem, config)
@@ -201,8 +209,8 @@ def test_first_two_sweeps_take_no_full_svd(monkeypatch):
     steps = []
     real = solver_mod.svt_with_values
 
-    def spy(M, alpha, basis=None):
-        steps.append(real(M, alpha, basis))
+    def spy(R, alpha, basis=None, previous=None):
+        steps.append(real(R, alpha, basis, previous))
         return steps[-1]
 
     monkeypatch.setattr(solver_mod, "svt_with_values", spy)
@@ -287,7 +295,13 @@ def test_results_do_not_change_when_the_cells_are_relabelled(relation_runs):
     # becomes P[perm] and X moves with it.  The sweep works in the
     # components' layouts, so only the sum behind ||X|| changes order.
     # Measured: residual and dual at most 2.9e-16 relative, in (20, 4, 2, 7).
-    for case, ops, X, base in relation_runs:
+    # The 192 and 256 cases hold their components as factors (more than
+    # FACTORED_ABOVE entries): 19 sweeps each.
+    factored = []
+    for case in ((192, 4, 2, 1), (256, 4, 2, 1)):
+        _, ops, X = make_instance(*case)
+        factored.append((case, ops, X, decompose(Problem(X, ops))))
+    for case, ops, X, base in relation_runs + factored:
         moved_X, moved_ops = relabelled(X, ops, random_permutation(X.size, 1))
         assert_same_run(decompose(Problem(moved_X, moved_ops)), base, case)
 
