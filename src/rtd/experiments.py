@@ -88,8 +88,9 @@ def _run_cells(spec, trial, cells, threads):
     module-level function so worker processes can load it.  Cell i is seeded
     by ``derive_seed(spec.seed, i)``, skipped cells included, and its trial t
     by ``derive_seed(cell_seed, t)``, so results are identical at any thread
-    count.
+    count.  ``threads`` must be an integer >= 1 (ValueError).
     """
+    threads = check_count(threads, ValueError, "threads")
     jobs = [(trial, spec, i, cell) for i, cell in enumerate(cells) if cell is not None]
     workers = min(threads, len(jobs))
     if workers <= 1:

@@ -2,11 +2,12 @@
 
 The SVD itself is delegated to LAPACK (via numpy); everything here is
 defined by contract on the factors: reconstruction within 1e-8 relative,
-orthonormal columns within 1e-10.  The solver's thresholding can instead
-run a partial SVD warm-started from a basis that each step hands to the
-next (``svt_with_values``), since its iterates are low rank and everything
-below the threshold is discarded anyway; for the same reason a threshold is
-held as its factors, and a large one is thresholded again from them.
+orthonormal columns within 1e-10.  ``svt`` is the exact full-SVD threshold.
+The solver's thresholding, ``svt_with_values``, is one step of a sweep: a
+partial SVD warm-started from a basis that each step hands to the next,
+since its iterates are low rank and everything below the threshold is
+discarded anyway; for the same reason a threshold is held as its factors,
+and a large one is thresholded again from them.
 """
 
 import math
@@ -61,9 +62,13 @@ def svd_full(M):
 def svt(M, alpha):
     """Singular-value soft-thresholding: U max(S - alpha, 0) V^T.
 
-    This is the proximal operator of alpha * nuclear norm at M.
+    This is the proximal operator of alpha * nuclear norm at M, taken from
+    a full SVD of M: the exact oracle that the solver's step,
+    ``svt_with_values``, is checked against, with no code of that step.
     """
-    return svt_with_values(M, alpha).out
+    f = svd_full(M)
+    k = int((f.S > alpha).sum())
+    return (f.U[:, :k] * (f.S[:k] - alpha)) @ f.V[:, :k].T
 
 
 @dataclass(frozen=True)
@@ -73,25 +78,26 @@ class SvtStep:
     The thresholded matrix is held as its factors A = L V^T (Cai, Candes
     and Shen 2010, SIAM J. Optim. 20(4): the iterates of singular-value
     thresholding are low rank, so they can be kept as their SVD factors).
-    ``L`` (m x rank) is U diag(S - alpha) over the ``rank`` kept columns,
-    and V is the first ``rank`` columns of ``basis``.  ``out`` is A as a
-    dense matrix, formed on its first read and then kept; a step of a sweep
-    at or below FACTORED_ABOVE entries formed it as it ran.
-    ``nuclear`` is the nuclear norm of A, the sum of the kept values
-    S - alpha, and ``change`` is ||A - A0||_F^2 for the previous threshold
-    A0 the call was given (A0 = 0 without one).  ``basis`` (n x w,
+    ``L`` (m x k) is U diag(S - alpha) over the k = ``L.shape[1]`` kept
+    columns, and V is the first k columns of ``basis``.  ``out`` is A as a
+    dense matrix, formed on its first read and then kept; a step at or
+    below FACTORED_ABOVE entries formed it as it ran.  ``basis`` (n x w,
     orthonormal columns) is the next call's warm start: the kept right
     singular vectors plus the next OVERSAMPLE of them, as many as the
-    factorization holds.  ``partial`` says whether ``_partial_svd`` was
-    accepted, rather than the full SVD run.
+    factorization holds.  ``nuclear`` is the nuclear norm of A, the sum of
+    the kept values S - alpha; ``partial`` says whether ``_partial_svd``
+    was accepted, rather than the full SVD run; and ``change`` is
+    ||A - A0||_F^2 for the previous threshold A0.  Before a first call the
+    previous step is one of rank 0, ``SvtStep(np.zeros((m, 0)), basis)``
+    with a start block such as ``start_basis``: A = 0, and the three values
+    at their defaults.
     """
 
     L: np.ndarray
-    nuclear: float
-    rank: int
     basis: np.ndarray
-    partial: bool
-    change: float
+    nuclear: float = 0.0
+    partial: bool = False
+    change: float = 0.0
 
     @cached_property
     def out(self):
@@ -138,10 +144,7 @@ class _PlusFactors:
         return _PlusFactors(self.R.T, self.V, self.L)
 
     def __matmul__(self, Q):
-        # An infinity in R makes NaN here (inf * 0), which _partial_svd
-        # refuses with NonFinite; NumPy need not warn of it first.
-        with np.errstate(invalid="ignore", over="ignore"):
-            return self.R @ Q + self.L @ (self.V.T @ Q)
+        return self.R @ Q + self.L @ (self.V.T @ Q)
 
 
 def _partial_svd(M, alpha, V):
@@ -158,17 +161,19 @@ def _partial_svd(M, alpha, V):
     values below about sqrt(eps) * s_max (1.5e-8 relative) lose accuracy.
     Returns None, so the caller runs the full SVD, when the block is wider
     than min(m, n) // 2, where a full SVD is cheaper, or when fewer than
-    TAIL_BELOW Ritz values fall below alpha.  Raises NonFinite when a
-    factored M has a NaN or infinite entry, which reaches its row of M Q.
+    TAIL_BELOW Ritz values fall below alpha.  Raises NonFinite when M has a
+    NaN or infinite entry, which reaches M Q (an infinity times 0 is NaN):
+    M itself is never scanned.
     """
     if V.shape[1] > min(M.shape) // 2:
         return None
-    Q = V
-    for _ in range(POWER_STEPS):
-        Q = _orth(M.T @ (M @ Q))
-    MQ = M @ Q
-    # A dense M was checked when it was formed; a factored one never is.
-    if isinstance(M, _PlusFactors) and not np.isfinite(MQ).all():
+    # NumPy need not warn of a NaN or an infinity before it is refused.
+    with np.errstate(invalid="ignore", over="ignore"):
+        Q = V
+        for _ in range(POWER_STEPS):
+            Q = _orth(M.T @ (M @ Q))
+        MQ = M @ Q
+    if not np.isfinite(MQ).all():
         raise NonFinite("matrix contains NaN or Inf")
     U, S, Wt = np.linalg.svd(MQ, full_matrices=False)
     if S.size < TAIL_BELOW or S[-TAIL_BELOW] >= alpha:
@@ -176,57 +181,48 @@ def _partial_svd(M, alpha, V):
     return U, S, Wt @ Q.T
 
 
-def svt_with_values(R, alpha, basis=None, previous=None):
-    """svt as an ``SvtStep``: the threshold's factors, its nuclear norm
-    (which the solver logs for free) and the warm start of the next call.
+def svt_with_values(R, alpha, previous):
+    """One singular-value thresholding step of a sweep (Cai, Candes and
+    Shen 2010), as an ``SvtStep``: the threshold's factors, its nuclear
+    norm (which the solver logs for free) and the warm start of the next
+    call.
 
-    With ``basis=None`` this is an exact full SVD.  With a basis (the one
-    the previous step returned, or a start block such as the orthonormalised
-    Gaussian block of Halko, Martinsson and Tropp 2011, section 4.1) it is
-    ``_partial_svd`` from that basis, accurate to the subspace iteration;
-    the full SVD still runs whenever ``_partial_svd`` returns None.
-
-    Without ``previous`` the call thresholds M = R and leaves R alone.
-    ``previous`` is the ``SvtStep`` of the last threshold A0 = L0 V0^T (one
-    of rank 0 for A0 = 0); with it the call is one step of a sweep (Cai,
-    Candes and Shen 2010): R is the running block, the call thresholds
-    M = R + A0 and subtracts D = A - A0 from R in place, so that R + A is
-    M.  Above FACTORED_ABOVE entries M is formed only for the full SVD: the
-    subspace iteration takes R Q + L0 (V0^T Q), and D is the one product
-    [L, -L0] [V, V0]^T of the two factor pairs.  At or below it, M and D
-    are dense and A0 is ``previous.out``, which that step formed: the bytes
-    of a solve that holds its components dense.  ``change`` is ||D||_F^2,
-    summed from D's entries: a sum from the factors,
-    ||A||^2 + ||A0||^2 - 2 <A, A0>, loses it to cancellation as A nears A0.
+    ``previous`` is the ``SvtStep`` of the last threshold A0 = L0 V0^T, or
+    before the first sweep one of rank 0 with a start block (such as the
+    orthonormalised Gaussian block of Halko, Martinsson and Tropp 2011,
+    section 4.1, from ``start_basis``).  R is the running block: the call
+    thresholds M = R + A0 and subtracts D = A - A0 from R in place, so that
+    R + A is M.  The threshold is ``_partial_svd`` from ``previous.basis``,
+    accurate to the subspace iteration, and the full SVD of M whenever
+    that returns None.  Above FACTORED_ABOVE entries M is formed only for
+    the full SVD: the subspace iteration takes R Q + L0 (V0^T Q), and D is
+    the one product [L, -L0] [V, V0]^T of the two factor pairs.  At or
+    below it, M and D are dense and A0 is ``previous.out``, which that step
+    formed: the bytes of a solve that holds its components dense.  A NaN or
+    an infinity in R raises NonFinite, from M Q or from the full SVD's M.
+    ``change`` is ||D||_F^2, summed from D's entries: a sum from the
+    factors, ||A||^2 + ||A0||^2 - 2 <A, A0>, loses it to cancellation as A
+    nears A0.
     """
-    factored = previous is not None and R.size > FACTORED_ABOVE
-    if factored:
-        L0, V0 = previous.L, previous.basis[:, : previous.rank]
-        M = _PlusFactors(R, L0, V0)
-    else:
-        M = _as_finite_matrix(R if previous is None else R + previous.out)
-    factors = None if basis is None else _partial_svd(M, alpha, basis)
+    L0, V0 = previous.L, previous.basis[:, : previous.L.shape[1]]
+    factored = R.size > FACTORED_ABOVE
+    M = _PlusFactors(R, L0, V0) if factored else R + previous.out
+    factors = _partial_svd(M, alpha, previous.basis)
     partial = factors is not None
-    if not partial and factored:
-        M = _as_finite_matrix(R + from_factors(L0, previous.basis))
+    if not partial:
+        M = _as_finite_matrix(R + previous.out if factored else M)
     U, S, Vt = factors if partial else np.linalg.svd(M, full_matrices=False)
     shrunk = S - alpha
     k = int((shrunk > 0.0).sum())  # S is nonincreasing, so the kept ones are a prefix
     L, kept = U[:, :k] * shrunk[:k], np.ascontiguousarray(Vt[: k + OVERSAMPLE].T)
-    A = None
-    if previous is None:
-        change = float(shrunk[:k] @ shrunk[:k])
+    if factored:
+        D = np.hstack([L, -L0]) @ np.hstack([kept[:, :k], V0]).T
     else:
-        if factored:
-            D = np.hstack([L, -L0]) @ np.hstack([kept[:, :k], V0]).T
-        else:
-            A = L @ Vt[:k]
-            D = A - previous.out
-        R -= D
-        change = float(np.vdot(D, D))
-    step = SvtStep(L=L, nuclear=float(shrunk[:k].sum()), rank=k, basis=kept,
-                   partial=partial, change=change)
-    if A is not None:
+        A = L @ Vt[:k]
+        D = A - previous.out
+    R -= D
+    step = SvtStep(L, kept, float(shrunk[:k].sum()), partial, float(np.vdot(D, D)))
+    if not factored:
         step.__dict__["out"] = A  # out is a cached_property: this step formed it
     return step
 

@@ -13,12 +13,13 @@ X - sum_i R_i(A_i) + Y/kappa, in the matrix layout of the component being
 updated: one gather moves it on to the next component's layout, N gathers
 per sweep, and Y lives in component 0's layout.  A kappa that overflows
 float64 raises NonFinite.  The multiplier Y and the components start at
-zero, the usual ADMM start.  Each component's threshold is a partial SVD
-warm-started from the right singular subspace it kept in the previous sweep
-(the ``basis`` of the ``rtd.linalg.SvtStep`` that sweep returned), and in
-the first sweep from ``rtd.linalg.start_basis``, the orthonormal Gaussian
-block of width OVERSAMPLE + TAIL_BELOW seeded by the component's index.
-Each component is held as the factors (L, V) of its last threshold for the
+zero, the usual ADMM start.  Each component's threshold is one
+``rtd.linalg.svt_with_values`` step from the ``SvtStep`` that component's
+last threshold returned: a partial SVD warm-started from the right singular
+subspace it kept.  Before the first sweep that step is one of rank 0
+whose basis is ``rtd.linalg.start_basis``, the orthonormal Gaussian block
+of width OVERSAMPLE + TAIL_BELOW seeded by the component's index.  Each
+component is held as the factors (L, V) of its last threshold for the
 whole solve (Cai, Candes and Shen 2010), and formed as a dense matrix only
 for the result.
 """
@@ -152,9 +153,9 @@ def default_kappa0(problem):
 def decompose(problem, config=None):
     """Run the alternating singular-value-thresholding scheme.
 
-    Initialization: Y = 0, A_i = 0 (the usual ADMM start), kappa =
-    default_kappa0, and component i's warm start ``start_basis`` seeded by
-    i alone.
+    Initialization: Y = 0, A_i = 0 (the usual ADMM start) as a rank-0
+    ``SvtStep``, kappa = default_kappa0, and component i's warm start
+    ``start_basis`` seeded by i alone.
     Each iteration, for i = 1..N in order and using the freshest A_j:
 
         A_i <- svt( adjoint_i( X - sum_{j != i} R_j(A_j) + Y/kappa ), 1/kappa )
@@ -170,9 +171,10 @@ def decompose(problem, config=None):
     low rank, so each A_i is held for the whole solve as the factors
     A_i = L V^T of its last threshold, L = U diag(S - 1/kappa) over the kept
     columns (Cai, Candes and Shen 2010, SIAM J. Optim. 20(4)), and
-    ``svt_with_values`` takes r's block with them: a large component's
-    pullback and update are taken through the factors, a small one's as
-    dense matrices (``rtd.linalg.FACTORED_ABOVE``).  The dense components
+    ``svt_with_values(block, 1/kappa, previous)`` takes r's block with the
+    step that holds them: a large component's pullback and update are
+    taken through the factors, a small one's as dense matrices
+    (``rtd.linalg.FACTORED_ABOVE``).  The dense components
     are formed once, at the return, after the sweep's arrays are released.
     Y is kept in component 0's layout, where the sweep ends; kappa is a
     running product.  The scheme runs on X * 2**-e, with e
@@ -203,8 +205,8 @@ def decompose(problem, config=None):
 
     # The last threshold of each component, held as its factors; before the
     # first sweep, A_i = 0 with a seeded start block.
-    held = [SvtStep(L=np.zeros((op.m, 0)), nuclear=0.0, rank=0, partial=False, change=0.0,
-                    basis=start_basis(op.n, derive_seed(0, i))) for i, op in enumerate(ops)]
+    held = [SvtStep(np.zeros((op.m, 0)), start_basis(op.n, derive_seed(0, i)))
+            for i, op in enumerate(ops)]
     # r and y are flat, in a component's matrix layout: steps[i] gathers
     # component i's layout into the next one's, and the last step wraps
     # round to component 0, where each sweep starts and ends.
@@ -223,7 +225,7 @@ def decompose(problem, config=None):
         objective = 0.0
         delta_sq = 0.0
         for i, op in enumerate(ops):
-            svt_step = svt_with_values(r.reshape(op.m, op.n), 1.0 / kappa, held[i].basis, held[i])
+            svt_step = svt_with_values(r.reshape(op.m, op.n), 1.0 / kappa, held[i])
             objective += svt_step.nuclear
             delta_sq += svt_step.change
             r = r[steps[i]]

@@ -137,10 +137,12 @@ def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
     config = _reveal_config(container, config)
     result = decompose(Problem(container.pixels, key.ops), config)
     cover_est = GrayImage(np.clip(result.components[0], 0.0, 1.0))
-    channels = [
-        np.clip(comp / key.strength, 0.0, 1.0) for comp in result.components[1:]
-    ]
-    secret_est = RgbImage(np.stack(channels, axis=-1))
+    # One stacked copy of the channels, scaled and clipped in place; the
+    # metrics read its channels as views.
+    pixels = np.stack(result.components[1:], axis=-1)
+    pixels /= key.strength
+    secret_est = RgbImage(np.clip(pixels, 0.0, 1.0, out=pixels))
+    channels = [pixels[:, :, c] for c in range(3)]
     metrics = {
         "iterations": result.iterations,
         "converged": result.converged,

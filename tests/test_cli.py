@@ -527,6 +527,21 @@ def test_experiments_refuse_a_component_count_below_one(subcommand, tmp_path, ca
         assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["phase", "noise", "dropout"])
+def test_experiments_refuse_a_thread_count_below_one(subcommand, tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a cell before checking the thread count")
+
+    monkeypatch.setattr("rtd.experiments.decompose", no_solve)
+    csv_path = tmp_path / "out.csv"
+    for count in ("0", "-1"):
+        assert main([subcommand, "--threads", count, "--out-csv", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"rtd: threads must be >= 1, got {count}" in err
+        assert "Traceback" not in err
+        assert not csv_path.exists()
+
+
 def test_dropout_refuses_an_infinite_eta(tmp_path, capsys):
     # An infinite eta counts no component, so every trial would read as a miss.
     csv_path = tmp_path / "dropout.csv"

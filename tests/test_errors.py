@@ -10,7 +10,8 @@ from rtd.analysis import (
     recovery_bound_min_n,
 )
 from rtd.errors import QUOTE_MAX, BadIndex, BadRank, ShapeMismatch, StrengthOutOfRange, quoted
-from rtd.experiments import DropoutSpec, NoiseSweepSpec, PhaseGridSpec, make_instance
+from rtd.experiments import (DropoutSpec, NoiseSweepSpec, PhaseGridSpec, make_instance,
+                             run_phase_grid)
 from rtd.linalg import random_semi_orthonormal_pair
 from rtd.reshuffle import ReshuffleOp
 from rtd.rng import gaussians, random_permutation
@@ -24,6 +25,7 @@ INDEX = (2.5, -1, math.nan, math.inf)
 POSITIVE = (-1, 0, math.nan, math.inf)
 
 _COMPS, _OPS, _ = make_instance(6, 1, 3, 0)  # index 2.5 falls inside range(3)
+_TINY_GRID = PhaseGridSpec(ranks=(1,), axis=(8,), trials=1)
 
 
 # (entry point and parameter, call with the value, class raised, bad values,
@@ -38,6 +40,8 @@ CASES = [
     ("NoiseSweepSpec.N", lambda v: NoiseSweepSpec(N=v), ValueError, COUNT, np.uint8(3)),
     ("DropoutSpec.trials", lambda v: DropoutSpec(trials=v), ValueError, COUNT, np.int64(2)),
     ("DropoutSpec.eta", lambda v: DropoutSpec(eta=v), ValueError, POSITIVE, np.float32(0.5)),
+    ("run_phase_grid.threads", lambda v: run_phase_grid(_TINY_GRID, threads=v), ValueError, COUNT,
+     np.int64(1)),
     ("recovery_bound_min_n.N", lambda v: recovery_bound_min_n(v, 1), ValueError, COUNT,
      np.int64(2)),
     ("recovery_bound_min_n.r", lambda v: recovery_bound_min_n(1, v), ValueError, COUNT,

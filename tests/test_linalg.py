@@ -8,6 +8,7 @@ from rtd.linalg import (
     POWER_STEPS,
     RANK_CUTOFF,
     TAIL_BELOW,
+    SvtStep,
     nuclear_norm,
     numerical_rank,
     random_semi_orthonormal_pair,
@@ -22,6 +23,19 @@ from rtd.rng import derive_seed, gaussians
 
 def random_matrix(m, n, seed):
     return gaussians(m * n, seed).reshape(m, n)
+
+
+def zero_step(m, basis):
+    """The rank-0 step before a first call: A0 = 0, with warm start ``basis``."""
+    return SvtStep(np.zeros((m, 0)), basis)
+
+
+def full_step(M, alpha):
+    """The step from A0 = 0 and a one-column start block, which misses the
+    tail, so the full SVD of M runs.  M itself is left alone."""
+    step = svt_with_values(M.copy(), alpha, zero_step(M.shape[0], orthonormal(M.shape[1], 1, 0)))
+    assert not step.partial
+    return step
 
 
 def test_svd_full_reconstructs():
@@ -46,8 +60,8 @@ def test_svt_matches_scalar_shrinkage():
 
 def test_svt_values_are_thresholded_spectrum():
     M = np.diag([3.0, 1.0, 0.2])
-    step = svt_with_values(M, 0.5)
-    assert step.rank == 2 and not step.partial
+    step = full_step(M, 0.5)
+    assert step.L.shape[1] == 2
     assert step.nuclear == pytest.approx(3.0, abs=1e-12)
     assert np.allclose(step.out, np.diag([2.5, 0.5, 0.0]), atol=1e-12)
 
@@ -59,9 +73,10 @@ def test_svt_zero_alpha_is_identity():
 
 def test_svt_large_alpha_gives_zero():
     M = random_matrix(4, 4, 3)
-    step = svt_with_values(M, 10.0 * spectral_norm(M))
+    assert not svt(M, 10.0 * spectral_norm(M)).any()
+    step = full_step(M, 10.0 * spectral_norm(M))
     assert not step.out.any()
-    assert step.rank == 0 and step.nuclear == 0.0
+    assert step.L.shape[1] == 0 and step.nuclear == 0.0
 
 
 def prox_objective(Z, M, alpha):
@@ -187,17 +202,17 @@ def test_warm_partial_svt_matches_full(qr_calls):
         M = gapped_matrix(m, n, [9.0, 7.0, 5.0, 4.0, 3.0], seed)
         nearby = M + 0.01 * gaussians(m * n, derive_seed(seed, 7)).reshape(m, n)
         # A one-column block misses, so the first call takes the full SVD.
-        first = svt_with_values(nearby, 1.0, orthonormal(n, 1, seed))
+        first = svt_with_values(nearby, 1.0, zero_step(m, orthonormal(n, 1, seed)))
         assert not first.partial
         assert first.basis.shape == (n, 5 + OVERSAMPLE)
         qr_calls.clear()
-        step = svt_with_values(M, 1.0, first.basis)
+        step = svt_with_values(M.copy(), 1.0, zero_step(m, first.basis))
         assert step.partial
         # One QR per power step, none for the Rayleigh-Ritz step.
         assert qr_calls == [(n, 5 + OVERSAMPLE)] * POWER_STEPS
-        expect = svt_with_values(M, 1.0)
-        assert step.rank == expect.rank == 5
-        assert np.abs(step.out - expect.out).max() <= 1e-8
+        expect = full_step(M, 1.0)
+        assert step.L.shape[1] == expect.L.shape[1] == 5
+        assert np.abs(step.out - svt(M, 1.0)).max() <= 1e-8
         assert abs(step.nuclear - expect.nuclear) <= 1e-8
         assert step.basis.shape == (n, 5 + OVERSAMPLE)
 
@@ -212,11 +227,11 @@ def test_seeded_warm_start_thresholds_its_first_call_partially():
         assert np.array_equal(start_basis(n, seed), start)
         assert not np.array_equal(start_basis(n, seed + 1), start)
         M = gapped_matrix(m, n, [9.0, 7.0, 5.0], seed, tail=0.01)
-        step = svt_with_values(M, 1.0, start)
+        step = svt_with_values(M.copy(), 1.0, zero_step(m, start))
         assert step.partial
-        expect = svt_with_values(M, 1.0)
-        assert step.rank == expect.rank == 3
-        assert np.abs(step.out - expect.out).max() <= 1e-8
+        expect = full_step(M, 1.0)
+        assert step.L.shape[1] == expect.L.shape[1] == 3
+        assert np.abs(step.out - svt(M, 1.0)).max() <= 1e-8
         assert abs(step.nuclear - expect.nuclear) <= 1e-8
         assert step.basis.shape == (n, width)
 
@@ -230,14 +245,15 @@ def test_svt_step_records_what_it_did():
         M = gapped_matrix(m, n, [9.0, 7.0, 5.0], seed, tail=0.01)
         S = np.linalg.svd(M, compute_uv=False)
         kept = S[S > alpha] - alpha
-        accepted = svt_with_values(M, alpha, orthonormal(n, 3 + OVERSAMPLE + TAIL_BELOW, seed))
-        missed = svt_with_values(M, alpha, orthonormal(n, 1, seed))
+        wide = orthonormal(n, 3 + OVERSAMPLE + TAIL_BELOW, seed)
+        accepted = svt_with_values(M.copy(), alpha, zero_step(m, wide))
+        missed = svt_with_values(M.copy(), alpha, zero_step(m, orthonormal(n, 1, seed)))
         assert accepted.partial and not missed.partial
         for step in (accepted, missed):
-            assert step.rank == kept.size == 3
+            assert step.L.shape[1] == kept.size == 3
             assert step.nuclear == pytest.approx(kept.sum(), rel=1e-12)
-            assert step.basis.shape == (n, step.rank + OVERSAMPLE)
-            assert np.abs(step.basis.T @ step.basis - np.eye(step.rank + OVERSAMPLE)).max() <= 1e-12
+            assert step.basis.shape == (n, 3 + OVERSAMPLE)
+            assert np.abs(step.basis.T @ step.basis - np.eye(3 + OVERSAMPLE)).max() <= 1e-12
         assert np.abs(accepted.out - svt(M, alpha)).max() <= 1e-8
         assert np.array_equal(missed.out, svt(M, alpha))
 
@@ -246,11 +262,11 @@ def test_partial_svt_missed_block_runs_the_full_svd(gaussian_draws):
     # Ten singular values above alpha: a 3-column block misses the tail, and
     # the full SVD runs in place of a wider block.
     M = gapped_matrix(120, 120, np.arange(11.0, 1.0, -1.0), 4, tail=0.01)
-    step = svt_with_values(M, 0.5, orthonormal(120, 3, 5))
+    step = svt_with_values(M.copy(), 0.5, zero_step(120, orthonormal(120, 3, 5)))
     assert not step.partial and gaussian_draws == []
-    expect = svt_with_values(M, 0.5)
-    assert np.array_equal(step.out, expect.out)
-    assert step.nuclear == expect.nuclear and step.rank == expect.rank == 10
+    assert np.array_equal(step.out, svt(M, 0.5))
+    expect = full_step(M, 0.5)
+    assert step.nuclear == expect.nuclear and step.L.shape[1] == expect.L.shape[1] == 10
     assert step.basis.shape == (120, 10 + OVERSAMPLE)
 
 
@@ -258,12 +274,12 @@ def test_partial_svt_falls_back_above_half_size(qr_calls, gaussian_draws):
     M = random_matrix(40, 40, 6)
     expect = svt(M, 1e-3)
     # A start block wider than min(m, n) // 2 goes straight to the full SVD.
-    step = svt_with_values(M, 1e-3, orthonormal(40, 21, 7))
+    step = svt_with_values(M.copy(), 1e-3, zero_step(40, orthonormal(40, 21, 7)))
     assert np.array_equal(step.out, expect)
     assert not step.partial and qr_calls == [] and gaussian_draws == []
     # A block of half the size runs the subspace iteration.  A full-rank
     # matrix misses with any block, and the full SVD runs once.
-    step = svt_with_values(M, 1e-3, orthonormal(40, 20, 7))
+    step = svt_with_values(M.copy(), 1e-3, zero_step(40, orthonormal(40, 20, 7)))
     assert np.array_equal(step.out, expect)
     assert not step.partial and gaussian_draws == []
     assert qr_calls == [(40, 20)] * POWER_STEPS
@@ -276,21 +292,23 @@ def test_warm_partial_svt_keeps_a_wide_dynamic_range():
     for m, n, seed in ((100, 100, 1), (80, 60, 2), (60, 80, 3)):
         M = gapped_matrix(m, n, top, seed, tail=1e-6)
         nearby = M + 1e-7 * gaussians(m * n, derive_seed(seed, 7)).reshape(m, n)
-        first = svt_with_values(nearby, 5e-5, start_basis(n, seed))
-        step = svt_with_values(M, 5e-5, first.basis)
+        first = svt_with_values(nearby, 5e-5, zero_step(m, start_basis(n, seed)))
+        step = svt_with_values(M.copy(), 5e-5, zero_step(m, first.basis))
         assert step.partial
-        expect = svt_with_values(M, 5e-5)
-        assert step.rank == expect.rank == 5
-        assert np.linalg.norm(step.out - expect.out) <= 1e-12 * np.linalg.norm(expect.out)
-        assert abs(step.nuclear - expect.nuclear) <= 1e-12 * spectral_norm(expect.out)
+        expect = full_step(M, 5e-5)
+        assert step.L.shape[1] == expect.L.shape[1] == 5
+        exact = svt(M, 5e-5)
+        assert np.linalg.norm(step.out - exact) <= 1e-12 * np.linalg.norm(exact)
+        assert abs(step.nuclear - expect.nuclear) <= 1e-12 * spectral_norm(exact)
 
 
 def test_partial_svt_large_alpha_gives_zero():
     M = gapped_matrix(64, 64, [4.0, 2.0], 8)
-    step = svt_with_values(M, spectral_norm(M), orthonormal(64, OVERSAMPLE, 9))
+    start = zero_step(64, orthonormal(64, OVERSAMPLE, 9))
+    step = svt_with_values(M.copy(), spectral_norm(M), start)
     assert step.partial
     assert not step.out.any()
-    assert step.rank == 0 and step.nuclear == 0.0
+    assert step.L.shape[1] == 0 and step.nuclear == 0.0
     assert step.basis.shape == (64, OVERSAMPLE)
 
 
@@ -301,23 +319,28 @@ def test_a_factored_step_matches_the_dense_one(monkeypatch):
     n, alpha = 130, 1.0
     assert n * n > linalg_mod.FACTORED_ABOVE
     previous = svt_with_values(gapped_matrix(n, n, [9.0, 7.0, 5.0], 1, tail=0.01), alpha,
-                               start_basis(n, 1))
+                               zero_step(n, start_basis(n, 1)))
     M = gapped_matrix(n, n, [9.5, 7.0, 4.0, 3.0], 2, tail=0.01)
     R = M - previous.out
-    # M is never formed for the partial SVD, but a NaN or an infinity in R
-    # is still refused.
-    for bad in (np.nan, np.inf):
-        block = R.copy()
-        block[3, 4] = bad
-        with pytest.raises(NonFinite):
-            svt_with_values(block, alpha, previous.basis, previous)
+    # M is never scanned for the partial SVD, factored or dense, but a NaN
+    # or an infinity in R is still refused, from M Q; a start block wider
+    # than min(m, n) // 2 goes straight to the full SVD, which checks M.
+    wide = zero_step(n, orthonormal(n, n // 2 + 1, 3))
+    for above in (linalg_mod.FACTORED_ABOVE, n * n):
+        monkeypatch.setattr(linalg_mod, "FACTORED_ABOVE", above)
+        for start in (previous, wide):
+            for bad in (np.nan, np.inf, -np.inf):
+                block = R.copy()
+                block[3, 4] = bad
+                with pytest.raises(NonFinite):
+                    svt_with_values(block, alpha, start)
     runs = []
     for above in (linalg_mod.FACTORED_ABOVE, n * n):
         monkeypatch.setattr(linalg_mod, "FACTORED_ABOVE", above)
         block = R.copy()
-        runs.append((svt_with_values(block, alpha, previous.basis, previous), block))
+        runs.append((svt_with_values(block, alpha, previous), block))
     (factored, factored_R), (dense, dense_R) = runs
-    assert factored.partial and dense.partial and factored.rank == dense.rank == 4
+    assert factored.partial and dense.partial and factored.L.shape[1] == dense.L.shape[1] == 4
     assert np.abs(factored.out - dense.out).max() <= 1e-12
     assert np.abs(factored_R - dense_R).max() <= 1e-12
     # R + A stays M, and the change is ||A - A0||_F^2.
@@ -331,9 +354,10 @@ def test_partial_svt_reruns_identical():
         outs = []
         for seed in range(4):
             M = gapped_matrix(96, 96, np.arange(8.0, 0.0, -1.0), 10 + seed)
-            step = svt_with_values(M, 0.5, basis)
+            step = svt_with_values(M, 0.5, zero_step(96, basis))
             basis = step.basis
-            outs += [step.out.tobytes(), step.nuclear, step.rank, step.partial, basis.tobytes()]
+            outs += [step.out.tobytes(), step.nuclear, step.L.shape[1], step.partial,
+                     basis.tobytes()]
         return outs
 
     assert run() == run()

@@ -9,7 +9,7 @@ import rtd.solver as solver_mod
 from rtd.analysis import tsir
 from rtd.errors import DivergenceDetected, NonFinite, ShapeMismatch
 from rtd.experiments import make_instance
-from rtd.linalg import nuclear_norm, random_semi_orthonormal_pair
+from rtd.linalg import nuclear_norm, random_semi_orthonormal_pair, svt
 from rtd.reshuffle import observe, reshuffle_from_seed, reshuffle_identity
 from rtd.rng import gaussians, random_permutation
 from rtd.solver import (
@@ -109,10 +109,10 @@ def test_deterministic_reruns():
 def test_divergence_detected(monkeypatch):
     real = solver_mod.svt_with_values
 
-    def amplify(R, alpha, basis=None, previous=None):
+    def amplify(R, alpha, previous):
         # Ten times each threshold A: R + A stays the thresholded matrix, so
         # R gives up 9 A more, and the held factor L is ten times as large.
-        step = real(R, alpha, basis, previous)
+        step = real(R, alpha, previous)
         R -= 9 * step.out
         return dataclasses.replace(step, L=10 * step.L)
 
@@ -125,8 +125,8 @@ def test_divergence_detected(monkeypatch):
 def _reference_decompose(problem, iterations):
     """The update of decompose's docstring, transcribed without its running
     vector or its power-of-two scaling: a fresh sum of the other components
-    per update, a full-SVD threshold, kappa = kappa0 * RHO**(k - 1) and the
-    dual step GAMMA * kappa."""
+    per update, the full-SVD threshold ``svt``, kappa = kappa0 * RHO**(k - 1)
+    and the dual step GAMMA * kappa."""
     x, ops = problem.X, problem.ops
     kappa0, rho, gamma = default_kappa0(problem), solver_mod.RHO, solver_mod.GAMMA
     y = np.zeros_like(x)
@@ -136,8 +136,7 @@ def _reference_decompose(problem, iterations):
         kappa = kappa0 * rho ** (k - 1)
         for i, op in enumerate(ops):
             others = sum(ops[j].apply(comps[j]) for j in range(len(ops)) if j != i)
-            U, sv, Vt = np.linalg.svd(op.adjoint(x - others + y / kappa), full_matrices=False)
-            comps[i] = (U * np.maximum(sv - 1.0 / kappa, 0.0)) @ Vt
+            comps[i] = svt(op.adjoint(x - others + y / kappa), 1.0 / kappa)
         diff = x - observe(ops, comps)
         y = y + gamma * kappa * diff
         residuals.append(np.linalg.norm(diff) / np.linalg.norm(x))
@@ -209,8 +208,8 @@ def test_first_two_sweeps_take_no_full_svd(monkeypatch):
     steps = []
     real = solver_mod.svt_with_values
 
-    def spy(R, alpha, basis=None, previous=None):
-        steps.append(real(R, alpha, basis, previous))
+    def spy(R, alpha, previous):
+        steps.append(real(R, alpha, previous))
         return steps[-1]
 
     monkeypatch.setattr(solver_mod, "svt_with_values", spy)
