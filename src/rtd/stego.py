@@ -137,8 +137,9 @@ def reveal(container, key, config=None, ref_secret=None, ref_cover=None):
     config = _reveal_config(container, config)
     result = decompose(Problem(container.pixels, key.ops), config)
     cover_est = GrayImage(np.clip(result.components[0], 0.0, 1.0))
-    # One stacked copy of the channels, scaled and clipped in place; the
-    # metrics read its channels as views.
+    # One stacked copy of the channels, scaled and clipped in place, with
+    # the metrics reading views of it: separate clipped copies would set the
+    # reveal's peak memory.
     pixels = np.stack(result.components[1:], axis=-1)
     pixels /= key.strength
     secret_est = RgbImage(np.clip(pixels, 0.0, 1.0, out=pixels))
