@@ -107,17 +107,10 @@ def tangent_project(T, M):
 @dataclass(frozen=True)
 class IncoherenceEstimate:
     """Lower bound on an incoherence value: ``value`` is the largest of
-    ``restart_values``, one per restart, and ``converged`` says per restart
-    whether its ascent stalled at a fixed point."""
+    ``restart_values``, one per restart."""
 
     value: float
     restart_values: list
-    converged: list
-
-
-def _leading_pair(B):
-    U, _, Wt = np.linalg.svd(B, full_matrices=False)
-    return U[:, 0], Wt[0]
 
 
 _ASCENT_STEPS = (-4.0, -1.0, -0.25, -0.05, 0.05, 0.25, 1.0, 4.0, None)
@@ -130,8 +123,8 @@ def _ascend(M, basis, cross, dst_shape, iters):
     matrix back through the permutation, projects onto the tangent set,
     then keeps the best rescaled point along that direction (signed steps
     matter because the SVD fixes the pair's sign arbitrarily; the None
-    step tries the projected direction itself).  Returns (best value
-    seen, whether the iteration stalled at a fixed point).
+    step tries the projected direction itself).  Returns the best value
+    seen; the ascent stops early at a fixed point, where no step improves.
     """
     size = M.size
     mapped = np.empty(size)
@@ -143,8 +136,8 @@ def _ascend(M, basis, cross, dst_shape, iters):
     best = value(M)
     for _ in range(iters):
         mapped[cross] = M.ravel()
-        u, w = _leading_pair(mapped.reshape(dst_shape))
-        grad = np.outer(u, w).ravel()[cross].reshape(M.shape)
+        U, _, Wt = np.linalg.svd(mapped.reshape(dst_shape), full_matrices=False)
+        grad = np.outer(U[:, 0], Wt[0]).ravel()[cross].reshape(M.shape)
         direction = tangent_project(basis, grad)
         step_best, step_M = best, None
         for t in _ASCENT_STEPS:
@@ -157,9 +150,9 @@ def _ascend(M, basis, cross, dst_shape, iters):
             if v > step_best + 1e-15:
                 step_best, step_M = v, cand
         if step_M is None:
-            return best, True
+            break
         best, M = step_best, step_M
-    return best, False
+    return best
 
 
 def incoherence_lower_bound(A, ops, i, restarts=8, iters=50, seed=0):
@@ -186,27 +179,28 @@ def incoherence_lower_bound(A, ops, i, restarts=8, iters=50, seed=0):
     seed = check_seed(seed)
     crosses = [(cross_map(op_i, op_j), (op_j.m, op_j.n)) for j, op_j in enumerate(ops) if j != i]
     restart_values = []
-    converged = []
     for t in range(restarts):
         g = gaussians(A.size, derive_seed(seed, t)).reshape(A.shape)
         M0 = tangent_project(basis, g)
         norm = spectral_norm(M0)
-        # A zero start has no direction to ascend: it scores 0, converged.
+        # A zero start has no direction to ascend: it scores 0.
         ascents = [_ascend(M0 / norm, basis, cross, dst_shape, iters)
                    for cross, dst_shape in crosses if norm > 0.0]
-        restart_values.append(max((val for val, _ in ascents), default=0.0))
-        converged.append(all(done for _, done in ascents))
-    return IncoherenceEstimate(max(restart_values), restart_values, converged)
+        restart_values.append(max(ascents, default=0.0))
+    return IncoherenceEstimate(max(restart_values), restart_values)
 
 
 def estimate_component_count(components, eta):
     """Number of components whose norm exceeds eta times the largest norm.
 
     The norms are taken at the power-of-two scale of the largest entry, as
-    in ``tsir``, so the count is the same at any magnitude.
+    in ``tsir``, so the count is the same at any magnitude.  A NaN or
+    infinite entry raises NonFinite.
     """
     eta = check_positive(eta, ValueError, "eta")
     components = [np.asarray(a, dtype=np.float64) for a in components]
+    if not all(np.isfinite(a).all() for a in components):
+        raise NonFinite("components contain NaN or Inf")
     e = _scale_exponent(components)
     norms = [float(np.linalg.norm(np.ldexp(a, -e))) for a in components]
     cut = eta * max(norms, default=0.0)

@@ -314,13 +314,13 @@ def main(argv=None):
     t0 = time.time()
     try:
         artifacts = args.func(args)
+        _write_manifest(args, artifacts, time.time() - t0)
     except DivergenceDetected as exc:
         print(f"rtd: solver diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (RtdError, OSError, ValueError) as exc:
         print(f"rtd: {exc}", file=sys.stderr)
         return EXIT_DATA
-    _write_manifest(args, artifacts, time.time() - t0)
     return EXIT_OK
 
 

@@ -81,7 +81,8 @@ class SvtStep:
     ``L`` (m x k) is U diag(S - alpha) over the k = ``L.shape[1]`` kept
     columns, and V is the first k columns of ``basis``.  ``out`` is A as a
     dense matrix, formed on its first read and then kept; a step at or
-    below FACTORED_ABOVE entries formed it as it ran.  ``basis`` (n x w,
+    below FACTORED_ABOVE entries formed it as it ran, and ``decompose``
+    reads it for its result.  ``basis`` (n x w,
     orthonormal columns) is the next call's warm start: the kept right
     singular vectors plus the next OVERSAMPLE of them, as many as the
     factorization holds.  ``nuclear`` is the nuclear norm of A, the sum of
@@ -101,14 +102,9 @@ class SvtStep:
 
     @cached_property
     def out(self):
-        return from_factors(self.L, self.basis)
-
-
-def from_factors(L, basis):
-    """The dense L V^T, V the first L.shape[1] columns of ``basis``.  V^T is
-    copied to contiguous rows first, the layout of the SVD's own V^T: BLAS
-    can round a product with a strided operand differently."""
-    return L @ np.ascontiguousarray(basis[:, : L.shape[1]].T)
+        # V^T is copied to contiguous rows first, the layout of the SVD's own
+        # V^T: BLAS can round a product with a strided operand differently.
+        return self.L @ np.ascontiguousarray(self.basis[:, : self.L.shape[1]].T)
 
 
 # Ritz vectors kept beyond the kept rank, so the next call can see the rank grow.

@@ -4,7 +4,8 @@ Samples are exposed as float64 in [0, 1]; only maxval 255 and 65535 are
 accepted, with 16-bit payloads big-endian per the format. Writing rounds
 clamp(x, 0, 1) * maxval to the nearest integer level. An image read from a
 file keeps its maxval, which fixes the precision its samples are known to;
-an image made in memory has maxval None.
+an image made in memory has maxval None.  An image's height and width are
+the first two axes of its pixels.
 """
 
 import re
@@ -31,14 +32,6 @@ class _Image:
 
     pixels: np.ndarray
     maxval: int | None = None
-
-    @property
-    def height(self):
-        return self.pixels.shape[0]
-
-    @property
-    def width(self):
-        return self.pixels.shape[1]
 
 
 class GrayImage(_Image):
@@ -87,7 +80,8 @@ def quantize(samples, maxval):
 def write_image(img, path, maxval=255):
     """Write GrayImage as P5 or RgbImage as P6 at the given maxval."""
     magic = b"P5" if isinstance(img, GrayImage) else b"P6"
+    height, width = img.pixels.shape[:2]
     body = quantize(img.pixels, maxval).tobytes()
-    header = f"{magic.decode()}\n{img.width} {img.height}\n{maxval}\n".encode()
+    header = f"{magic.decode()}\n{width} {height}\n{maxval}\n".encode()
     with open(path, "wb") as fh:
         fh.write(header + body)

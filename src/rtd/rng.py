@@ -18,7 +18,8 @@ _MASK = (1 << 64) - 1
 
 
 def mix64(z):
-    """splitmix64 output function on a 64-bit state."""
+    """splitmix64 output function on a 64-bit state: a Python int, or a
+    uint64 array, mixed entry by entry (the masks then change no bit)."""
     z &= _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -55,13 +56,11 @@ def bulk_u64(seed, count):
     """The first ``count`` outputs of the stream, as a uint64 array.
 
     Output k (from 1) is ``mix64(seed + k * GOLDEN)``: the state steps by the
-    golden gamma and each output mixes the new state.
+    golden gamma, wrapping modulo 2**64, and ``mix64`` mixes the states as
+    one array.
     """
     idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK) + idx * np.uint64(GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    return mix64(np.uint64(seed & _MASK) + idx * np.uint64(GOLDEN))
 
 
 MAX_PERMUTATION = 1 << 32  # draws and sort keys work on 32-bit limbs

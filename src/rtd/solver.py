@@ -33,8 +33,7 @@ import numpy as np
 
 from .errors import (DivergenceDetected, NonFinite, ShapeMismatch, check_count, check_positive,
                      quoted)
-from .linalg import (SvtStep, binary_scaled, from_factors, spectral_norm, start_basis,
-                     svt_with_values)
+from .linalg import SvtStep, binary_scaled, spectral_norm, start_basis, svt_with_values
 from .formats import csv_text
 from .reshuffle import cross_map
 from .rng import derive_seed
@@ -174,8 +173,9 @@ def decompose(problem, config=None):
     ``svt_with_values(block, 1/kappa, previous)`` takes r's block with the
     step that holds them: a large component's pullback and update are
     taken through the factors, a small one's as dense matrices
-    (``rtd.linalg.FACTORED_ABOVE``).  The dense components
-    are formed once, at the return, after the sweep's arrays are released.
+    (``rtd.linalg.FACTORED_ABOVE``).  The result is each last step's
+    ``out``, the dense A_i that a small step formed as it ran and a large
+    one forms at the return, after the sweep's arrays are released.
     Y is kept in component 0's layout, where the sweep ends; kappa is a
     running product.  The scheme runs on X * 2**-e, with e
     the binary exponent of max|X|: the power-of-two scale is exact, so the
@@ -248,11 +248,11 @@ def decompose(problem, config=None):
     with np.errstate(over="ignore"):
         residuals, objectives, kappas, duals = np.ldexp(history, [0, e, -e, -e]).T.tolist()
     # Freed before the dense components are formed, which would otherwise
-    # set the solve's peak memory; from_factors, unlike a step's cached
-    # out, keeps no second copy of each.
+    # set the solve's peak memory; each is scaled in place, so no second
+    # copy of it is made.
     del r, y, diff, steps
     return SolverResult(
-        components=[np.ldexp(from_factors(step.L, step.basis), e) for step in held],
+        components=[np.ldexp(step.out, e, out=step.out) for step in held],
         iterations=len(residuals),
         converged=residual <= config.tol,
         residual_history=residuals,

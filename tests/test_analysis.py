@@ -198,7 +198,6 @@ def test_incoherence_single_op_vacuous():
     est = incoherence_lower_bound(A, [op], 0)
     assert est.value == 0.0
     assert est.restart_values == [0.0] * 8
-    assert all(est.converged)
 
 
 def test_incoherence_is_lower_bound_and_monotone_in_restarts():
@@ -238,6 +237,9 @@ def test_estimate_component_count():
     assert estimate_component_count([], 0.1) == 0
     with pytest.raises(ValueError):
         estimate_component_count(comps, 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFinite):
+            estimate_component_count([np.ones((2, 2)), np.full((2, 2), bad)], 0.1)
 
 
 def test_certificate_csv_golden():

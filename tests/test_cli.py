@@ -128,6 +128,22 @@ def test_decompose_missing_file_exits_2(tmp_path):
     ]) == 2
 
 
+def test_an_unwritable_manifest_exits_2_and_keeps_the_outputs(tmp_path, capsys):
+    manifest = str(tmp_path / "missing" / "m.json")
+    assert main(["bound", "--N", "2", "--r", "1", "--manifest", manifest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "17\n"
+    assert captured.err.startswith("rtd: ") and captured.err.count("\n") == 1
+    tensor, ops, _ = _write_instance(tmp_path)
+    out = tmp_path / "out"
+    assert main([
+        "decompose", "--tensor", str(tensor), "--ops", str(ops),
+        "--out-dir", str(out), "--manifest", manifest,
+    ]) == 2
+    assert (out / "component_0.rtd").exists() and (out / "history.csv").exists()
+    assert capsys.readouterr().err.splitlines()[-1].startswith("rtd: ")
+
+
 @pytest.fixture
 def no_permutations(monkeypatch):
     """Fail the test if any seeded operator gets built."""

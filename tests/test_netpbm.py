@@ -14,7 +14,7 @@ def test_gray_8bit_roundtrip_on_levels(tmp_path):
     write_image(GrayImage(levels), path, maxval=255)
     back = read_image(path)
     assert isinstance(back, GrayImage)
-    assert back.height == 3 and back.width == 4
+    assert back.pixels.shape == (3, 4)
     assert np.array_equal(back.pixels, levels)
 
 

@@ -75,7 +75,8 @@ def _attributes_read(tree):
 def test_every_public_member_is_read_outside_the_tests():
     """A public field or method of a public class of src/rtd is read as an
     attribute in src/rtd or the benchmark; the tests alone do not keep it.
-    Like the definition lint above, this goes by name."""
+    Like the definition lint above, this goes by name: members of two classes
+    that share a name are not told apart."""
     package = _modules(Path(rtd.__file__).parent)
     members = set()
     for tree in package:
