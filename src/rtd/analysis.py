@@ -19,14 +19,19 @@ from .rng import check_seed, derive_seed, gaussians
 DB_CAP = 300.0
 
 
-def _scale_exponent(arrays):
-    """The ``binary_scaled`` exponent of the largest entry of any of ``arrays``.
+def _finite_scaled(arrays):
+    """``arrays`` as float64 arrays, and the ``binary_scaled`` exponent e of
+    the largest entry of any of them.  A NaN or infinite entry raises
+    NonFinite.
 
     Norms taken of the arrays times 2**-e neither over- nor underflow in
     their squares, and at normal scales they are the plain norms times
     2**-e exactly, so ratios of them do not change.
     """
-    return binary_scaled(np.array([np.abs(a).max(initial=0.0) for a in arrays]))[1]
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFinite("components contain NaN or Inf")
+    return arrays, binary_scaled(np.array([np.abs(a).max(initial=0.0) for a in arrays]))[1]
 
 
 def tsir(true_components, est_components):
@@ -45,12 +50,9 @@ def tsir(true_components, est_components):
         raise ShapeMismatch(
             f"component counts differ: {len(true_components)} vs {len(est_components)}"
         )
-    true_components = [np.asarray(a, dtype=np.float64) for a in true_components]
-    est_components = [np.asarray(b, dtype=np.float64) for b in est_components]
-    if not all(np.isfinite(a).all() for a in true_components + est_components):
-        raise NonFinite("components contain NaN or Inf")
-    e = _scale_exponent(true_components)
-    f = max(e, _scale_exponent(est_components) - 256)
+    true_components, e = _finite_scaled(true_components)
+    est_components, f = _finite_scaled(est_components)
+    f = max(e, f - 256)
     num = den = 0.0
     for a, b in zip(true_components, est_components):
         if a.shape != b.shape:
@@ -198,10 +200,7 @@ def estimate_component_count(components, eta):
     infinite entry raises NonFinite.
     """
     eta = check_positive(eta, ValueError, "eta")
-    components = [np.asarray(a, dtype=np.float64) for a in components]
-    if not all(np.isfinite(a).all() for a in components):
-        raise NonFinite("components contain NaN or Inf")
-    e = _scale_exponent(components)
+    components, e = _finite_scaled(components)
     norms = [float(np.linalg.norm(np.ldexp(a, -e))) for a in components]
     cut = eta * max(norms, default=0.0)
     return sum(1 for v in norms if v > cut)

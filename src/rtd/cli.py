@@ -33,7 +33,7 @@ from .experiments import (
     run_noise_sweep,
     run_phase_grid,
 )
-from .formats import read_ops, read_tensor, write_tensor
+from .formats import read_ops, read_tensor, write_tensor, write_text
 from .netpbm import GrayImage, read_image, write_image
 from .solver import Problem, SolverConfig, decompose, history_csv
 from .stego import MODES as STEGO_MODES
@@ -117,11 +117,6 @@ def _flag_values(source, args):
     return values
 
 
-def _write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def cmd_decompose(args):
     # Problem checks every operator's shape before any permutation is built.
     problem = Problem(read_tensor(args.tensor), read_ops(args.ops))
@@ -133,7 +128,7 @@ def cmd_decompose(args):
         write_tensor(comp, path)
         artifacts.append(path)
     history_path = os.path.join(args.out_dir, "history.csv")
-    _write_text(history_path, history_csv(result))
+    write_text(history_path, history_csv(result))
     artifacts.append(history_path)
     print(
         f"decompose: {result.iterations} iterations, converged={result.converged}, "
@@ -150,7 +145,7 @@ def cmd_phase(args):
     if args.out_pgm:
         heatmap_range(**heatmap)  # a bad range fails before the grid runs
     grid = run_phase_grid(spec, threads=args.threads)
-    _write_text(args.out_csv, phase_csv(grid))
+    write_text(args.out_csv, phase_csv(grid))
     artifacts = [args.out_csv]
     if args.out_pgm:
         img = render_heatmap(grid, **heatmap)
@@ -162,14 +157,14 @@ def cmd_phase(args):
 def cmd_noise(args):
     spec = NoiseSweepSpec(**_flag_values(NoiseSweepSpec, args))
     rows = run_noise_sweep(spec, threads=args.threads)
-    _write_text(args.out_csv, noise_csv(spec, rows))
+    write_text(args.out_csv, noise_csv(spec, rows))
     return [args.out_csv]
 
 
 def cmd_dropout(args):
     spec = DropoutSpec(**_flag_values(DropoutSpec, args))
     rows = run_dropout_experiment(spec, threads=args.threads)
-    _write_text(args.out_csv, dropout_csv(spec, rows))
+    write_text(args.out_csv, dropout_csv(spec, rows))
     return [args.out_csv]
 
 
@@ -300,9 +295,27 @@ def _write_manifest(args, artifacts, wall_clock):
         "artifacts": list(artifacts),
         "wall_clock_s": round(wall_clock, 3),
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _check_outputs(args):
+    """Refuse, before any input is read or any solve runs, an output that
+    cannot be written: each output file's directory must be a writable
+    directory, and so must the nearest existing ancestor of --out-dir, which
+    the run makes only once it succeeds."""
+    for name in ("out", "out_csv", "out_pgm", "out_cover", "out_dir"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        directory = os.path.dirname(path) or "."
+        if name == "out_dir":
+            directory = path
+            while not os.path.exists(directory):
+                directory = os.path.dirname(directory) or "."
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise OSError(
+                f"--{name.replace('_', '-')} {path}: {directory} is not a writable directory"
+            )
 
 
 def main(argv=None):
@@ -313,6 +326,7 @@ def main(argv=None):
         return int(exc.code or 0)
     t0 = time.time()
     try:
+        _check_outputs(args)
         artifacts = args.func(args)
         _write_manifest(args, artifacts, time.time() - t0)
     except DivergenceDetected as exc:

@@ -20,10 +20,12 @@ checks every line's element counts and seed range and builds no
 permutation: an operator builds its own on first use.
 
 Text files (operator files, stego keys) are a magic line followed by one
-record per line: ``write_lines`` ends every line with a newline, and
+record per line: ``lines_text`` ends every line with a newline, and
 ``read_lines`` strips lines and skips blank ones.  ``csv_text`` renders
 every CSV rtd writes with one number format: booleans as 0/1, floats as
 their repr, so they read back bit for bit, and anything else as str.
+``write_text`` writes every text file rtd writes, the CLI's CSVs and
+manifests included.
 
 No input file is read past HEADER_MAX bytes before it is checked:
 ``read_header`` matches a binary header (tensors here, images in netpbm)
@@ -106,7 +108,8 @@ def read_payload(fh, count, dtype):
     return samples.astype(np.float64, copy=False)
 
 
-def _text(lines):
+def lines_text(lines):
+    """``lines`` as text, each ended by a newline."""
     return "\n".join(lines) + "\n"
 
 
@@ -120,13 +123,13 @@ def _cell(value):
 
 def csv_text(header, rows):
     """CSV text: the header line, then one line per row of values."""
-    return _text([header, *(",".join(_cell(v) for v in row) for row in rows)])
+    return lines_text([header, *(",".join(_cell(v) for v in row) for row in rows)])
 
 
-def write_lines(path, lines):
-    """Write ``lines`` as a text file, each ended by a newline."""
+def write_text(path, text):
+    """Write the string ``text`` as the text file at ``path``."""
     with open(path, "w") as fh:
-        fh.write(_text(lines))
+        fh.write(text)
 
 
 def read_lines(path, magic, error):
@@ -162,7 +165,7 @@ def write_ops(ops, path):
             lines.append(f"identity {op.m} {op.n} {shape}")
         else:
             lines.append(f"seeded {op.m} {op.n} {op.seed} {shape}")
-    write_lines(path, lines)
+    write_text(path, lines_text(lines))
 
 
 def read_ops(path):

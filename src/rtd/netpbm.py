@@ -5,7 +5,9 @@ accepted, with 16-bit payloads big-endian per the format. Writing rounds
 clamp(x, 0, 1) * maxval to the nearest integer level. An image read from a
 file keeps its maxval, which fixes the precision its samples are known to;
 an image made in memory has maxval None.  An image's height and width are
-the first two axes of its pixels.
+the first two axes of its pixels.  Every image checks its own shape and
+maxval when it is made, so any image ``write_image`` takes writes a file
+that ``read_image`` reads back.
 """
 
 import re
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedHeader, UnsupportedMaxval
+from .errors import DimMismatch, MalformedHeader, UnsupportedMaxval, quoted
 from .formats import read_header, read_payload
 
 # The sample type of each accepted maxval.
@@ -25,21 +27,38 @@ _HEADER = re.compile(rb"(P[56])" + rb"(?:\s|#[^\n]*\n)+(\d{1,20})" * 3 + rb"\s")
 
 @dataclass(frozen=True)
 class _Image:
-    """Samples in [0, 1] and the maxval they are known to (None if exact).
+    """Samples and the maxval they are known to (None if exact).
 
-    Equality holds only between images of the same class.
+    The pixels have height and width >= 1 and then the class's channel axes;
+    any other shape raises DimMismatch, and a maxval other than None, 255
+    or 65535 raises UnsupportedMaxval.  Values are not range-checked, as a
+    float container exceeds 1; writing clamps them.  Equality holds only
+    between images of the same class.
     """
 
     pixels: np.ndarray
     maxval: int | None = None
+    # The axes of the pixels after height and width.
+    _CHANNELS = ()
+
+    def __post_init__(self):
+        shape = self.pixels.shape
+        if len(shape) < 2 or shape[2:] != self._CHANNELS or min(shape[:2]) < 1:
+            dims = " x ".join(("h", "w", *map(str, self._CHANNELS)))
+            raise DimMismatch(f"{type(self).__name__} pixels must be {dims} with h, w >= 1, "
+                              f"got shape {quoted(shape)}")
+        if self.maxval is not None:
+            _dtype(self.maxval)
 
 
 class GrayImage(_Image):
-    """Grayscale image: pixels (h, w) float64 in [0, 1]."""
+    """Grayscale image: pixels (h, w) float64, nominally in [0, 1]."""
 
 
 class RgbImage(_Image):
-    """Color image: pixels (h, w, 3) float64 in [0, 1]."""
+    """Color image: pixels (h, w, 3) float64, nominally in [0, 1]."""
+
+    _CHANNELS = (3,)
 
 
 def _dtype(maxval):

@@ -16,9 +16,9 @@ from .errors import ShapeMismatch, check_count, check_ints, quoted
 from .rng import MAX_PERMUTATION, check_seed, index_dtype, random_permutation
 
 
-# The most dimensions a NumPy array has, and so the most extents a tensor
-# has: 64 from NumPy 2.0, 32 before.
-MAX_EXTENTS = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+# The most dimensions a NumPy array has (NumPy >= 2.0), and so the most
+# extents a tensor has.
+MAX_EXTENTS = 64
 
 
 def _check_counts(m, n, dst_shape):

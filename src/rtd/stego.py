@@ -14,9 +14,9 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import sir, tsir
-from .errors import DimMismatch, KeyMismatch, StrengthOutOfRange, UnsupportedMaxval
+from .errors import DimMismatch, KeyMismatch, StrengthOutOfRange
 from .errors import check_ints, check_positive
-from .formats import csv_text, read_lines, write_lines
+from .formats import csv_text, lines_text, read_lines, write_text
 from .netpbm import GrayImage, RgbImage, quantize
 from .reshuffle import observe, reshuffle_from_seed, reshuffle_identity
 from .rng import check_seed, derive_seed
@@ -104,10 +104,6 @@ def _reveal_config(container, config):
         config = SolverConfig()
     if container.maxval is None:
         return config
-    if container.maxval not in FLOOR_FACTOR:
-        raise UnsupportedMaxval(
-            f"maxval must be one of {tuple(FLOOR_FACTOR)} or None, got {container.maxval}"
-        )
     sigma = FLOOR_FACTOR[container.maxval] * rounding_rms(container.maxval)
     return at_noise_floor(config, container.pixels, sigma)
 
@@ -176,7 +172,7 @@ def write_key(key, path):
         f"strength {key.strength!r}",
         f"mode {key.mode}",
     ]
-    write_lines(path, lines)
+    write_text(path, lines_text(lines))
 
 
 def read_key(path):

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import rtd.analysis as analysis
 from rtd.analysis import (
     DB_CAP,
     certificate_csv,
@@ -14,7 +17,7 @@ from rtd.analysis import (
     tsir,
 )
 from rtd.errors import AllZeroSignal, BadIndex, DegenerateRank, NonFinite, ShapeMismatch
-from rtd.linalg import random_semi_orthonormal_pair
+from rtd.linalg import random_semi_orthonormal_pair, spectral_norm
 from rtd.reshuffle import reshuffle_from_seed, reshuffle_identity
 from rtd.rng import gaussians
 
@@ -213,6 +216,28 @@ def test_incoherence_is_lower_bound_and_monotone_in_restarts():
     # permutations preserve Frobenius norm, so for 2x2 matrices the value
     # can never exceed sqrt(2) times the unit spectral norm of the input
     assert prev <= np.sqrt(2.0) + 1e-12
+
+
+def test_incoherence_ascent_skips_a_zero_direction(monkeypatch):
+    # Every tangent direction after the start is zero: the ascent's step
+    # along the direction itself tries the zero matrix, skips it without
+    # dividing by its norm, finds no better point and keeps the start.
+    A = np.outer([2.0, 1.0], [1.0, 1.0])
+    ops = [reshuffle_from_seed(2, 2, (4,), 3), reshuffle_from_seed(2, 2, (4,), 17)]
+    starts = []
+
+    def start_then_zero(T, M):
+        if starts:
+            return np.zeros(M.shape)
+        starts.append(tangent_project(T, M))
+        return starts[0]
+
+    monkeypatch.setattr(analysis, "tangent_project", start_then_zero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = incoherence_lower_bound(A, ops, 0, restarts=1, iters=5, seed=0)
+    start = starts[0] / spectral_norm(starts[0])
+    assert est.value == spectral_norm(ops[1].adjoint(ops[0].apply(start))) > 0.0
 
 
 def test_incoherence_validation():

@@ -558,6 +558,70 @@ def test_experiments_refuse_a_thread_count_below_one(subcommand, tmp_path, capsy
         assert not csv_path.exists()
 
 
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} ran")
+
+    return refuse
+
+
+@pytest.mark.parametrize("subcommand,runner", [
+    ("phase", "run_phase_grid"), ("noise", "run_noise_sweep"),
+    ("dropout", "run_dropout_experiment"),
+])
+def test_experiments_refuse_a_missing_output_directory_before_solving(
+    subcommand, runner, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, runner, _refuse("the study"))
+    missing = str(tmp_path / "missing" / "x.csv")
+    assert main([subcommand, "--threads", "1", "--out-csv", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rtd: --out-csv {missing}: ") and err.count("\n") == 1
+    if subcommand == "phase":
+        assert main([
+            "phase", "--out-csv", str(tmp_path / "p.csv"), "--out-pgm", missing,
+        ]) == 2
+        assert capsys.readouterr().err.startswith(f"rtd: --out-pgm {missing}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--out-cover"])
+def test_reveal_refuses_a_missing_output_directory_before_reading(flag, tmp_path, capsys, monkeypatch):
+    cover_path, secret_path = _write_images(tmp_path)
+    container = tmp_path / "container.pgm"
+    key = tmp_path / "stego.key"
+    assert main([
+        "hide", "--cover", str(cover_path), "--secret", str(secret_path),
+        "--out", str(container), "--key", str(key),
+    ]) == 0
+    made = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "read_key", _refuse("reading the key"))
+    monkeypatch.setattr(cli, "reveal", _refuse("the reveal"))
+    outputs = {"--out": str(tmp_path / "s.ppm"), flag: str(tmp_path / "missing" / "x.pgm")}
+    capsys.readouterr()
+    assert main([
+        "reveal", "--container", str(container), "--key", str(key),
+        *(arg for item in outputs.items() for arg in item),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rtd: {flag} {outputs[flag]}: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == made
+
+
+def test_decompose_refuses_an_out_dir_it_cannot_make_before_reading(tmp_path, capsys, monkeypatch):
+    tensor, ops, _ = _write_instance(tmp_path)
+    made = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "read_tensor", _refuse("reading the tensor"))
+    monkeypatch.setattr(cli, "decompose", _refuse("the solve"))
+    for out_dir in (tensor, tensor / "o", tensor / "o" / "p"):
+        assert main([
+            "decompose", "--tensor", str(tensor), "--ops", str(ops), "--out-dir", str(out_dir),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"rtd: --out-dir {out_dir}: {tensor} is not a writable directory\n"
+    assert sorted(tmp_path.iterdir()) == made
+
+
 def test_dropout_refuses_an_infinite_eta(tmp_path, capsys):
     # An infinite eta counts no component, so every trial would read as a miss.
     csv_path = tmp_path / "dropout.csv"

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rtd.errors import MalformedHeader, UnsupportedMaxval
+from rtd.errors import DimMismatch, MalformedHeader, UnsupportedMaxval
 from rtd.netpbm import GrayImage, RgbImage, quantize, read_image, write_image
 
 
@@ -47,6 +47,36 @@ def test_read_image_keeps_maxval(tmp_path):
             assert read_image(path).maxval == maxval
     assert GrayImage(np.zeros((2, 3))).maxval is None
     assert RgbImage(np.zeros((2, 3, 3))).maxval is None
+
+
+@pytest.mark.parametrize("kind,shape", [
+    (GrayImage, (2, 3, 3)), (GrayImage, (0, 3)), (GrayImage, (3, 0)), (GrayImage, (6,)),
+    (RgbImage, (2, 3)), (RgbImage, (2, 3, 4)), (RgbImage, (0, 3, 3)), (RgbImage, (2, 3, 3, 1)),
+])
+def test_an_image_refuses_a_shape_not_its_own(kind, shape):
+    with pytest.raises(DimMismatch, match=f"{kind.__name__} pixels must be h x w"):
+        kind(np.zeros(shape))
+
+
+def test_an_image_refuses_an_unsupported_maxval():
+    for maxval in (1023, 0, 256):
+        with pytest.raises(UnsupportedMaxval):
+            GrayImage(np.zeros((2, 2)), maxval)
+        with pytest.raises(UnsupportedMaxval):
+            RgbImage(np.zeros((2, 2, 3)), maxval)
+
+
+def test_valid_images_round_trip_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(3)
+    for maxval in (255, 65535):
+        for img in (GrayImage(rng.uniform(size=(1, 1))), GrayImage(rng.uniform(size=(3, 5))),
+                    RgbImage(rng.uniform(size=(4, 2, 3)))):
+            first, second = tmp_path / "first", tmp_path / "second"
+            write_image(img, first, maxval=maxval)
+            back = read_image(first)
+            assert type(back) is type(img) and back.pixels.shape == img.pixels.shape
+            write_image(back, second, maxval=back.maxval)
+            assert second.read_bytes() == first.read_bytes()
 
 
 def test_header_layout(tmp_path):

@@ -150,6 +150,20 @@ def test_every_read_passes_a_size():
     assert unbounded == []
 
 
+def test_only_the_format_modules_open_files():
+    """Only formats.py and netpbm.py call ``open`` (bare, or as an attribute
+    such as ``os.open``): every other module reads and writes files through
+    them, so each file rule has one place."""
+    openers = set()
+    for path in sorted(Path(rtd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "open" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                openers.add(path.name)
+    assert sorted(openers) == ["formats.py", "netpbm.py"]
+
+
 def test_all_lists_exactly_the_public_names():
     public = {
         name for name, value in vars(rtd).items()
