@@ -597,14 +597,15 @@ def test_reveal_refuses_a_missing_output_directory_before_reading(flag, tmp_path
     made = sorted(tmp_path.iterdir())
     monkeypatch.setattr(cli, "read_key", _refuse("reading the key"))
     monkeypatch.setattr(cli, "reveal", _refuse("the reveal"))
-    outputs = {"--out": str(tmp_path / "s.ppm"), flag: str(tmp_path / "missing" / "x.pgm")}
+    missing = str(tmp_path / "missing" / "x.pgm")
     capsys.readouterr()
+    # A repeated --out keeps its last value.
     assert main([
         "reveal", "--container", str(container), "--key", str(key),
-        *(arg for item in outputs.items() for arg in item),
+        "--out", str(tmp_path / "s.ppm"), flag, missing,
     ]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"rtd: {flag} {outputs[flag]}: ") and err.count("\n") == 1
+    assert err.startswith(f"rtd: {flag} {missing}: ") and err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == made
 
 
