@@ -53,6 +53,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _Output(argparse.Action):
+    """An output flag, which checks its path as it is parsed, so before any
+    input is read or any solve runs.  No output path may be empty.  A file
+    output must not be an existing directory and must sit in a writable
+    directory.  --out-dir, which the run makes only once it succeeds, must
+    have a writable directory as its nearest existing ancestor.  A refused
+    path raises OSError naming the flag and the path."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        if not path or os.path.isdir(path) and self.dest != "out_dir":
+            raise OSError(f"{option_string} {path!r}: is {'a directory' if path else 'empty'}")
+        directory = os.path.dirname(path) or "."
+        if self.dest == "out_dir":
+            directory = path
+            while not os.path.exists(directory):
+                directory = os.path.dirname(directory) or "."
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise OSError(f"{option_string} {path}: {directory} is not a writable directory")
+        setattr(namespace, self.dest, path)
+
+
 def parse_values(text):
     """Integer list syntax: '3', '1,2,5', or inclusive range '20:100:10'."""
     text = text.strip()
@@ -236,34 +257,34 @@ def build_parser():
     sub = add("decompose", cmd_decompose, "split a stored tensor into components")
     sub.add_argument("--tensor", required=True)
     sub.add_argument("--ops", required=True)
-    sub.add_argument("--out-dir", required=True)
+    sub.add_argument("--out-dir", required=True, action=_Output)
     _add_defaults(sub, SolverConfig)
 
     def experiment(name, func, help_text, spec):
         sub = add(name, func, help_text)
         _add_defaults(sub, spec, mode=MODES)
         sub.add_argument("--threads", type=int, default=os.cpu_count())
-        sub.add_argument("--out-csv", required=True)
+        sub.add_argument("--out-csv", required=True, action=_Output)
         return sub
 
     sub = experiment("phase", cmd_phase, "tSIR grid over rank and size or count", PhaseGridSpec)
     _add_defaults(sub, render_heatmap)
-    sub.add_argument("--out-pgm", default=None)
+    sub.add_argument("--out-pgm", default=None, action=_Output)
     experiment("noise", cmd_noise, "tSIR under additive Gaussian noise", NoiseSweepSpec)
     experiment("dropout", cmd_dropout, "component-count estimation accuracy", DropoutSpec)
 
     sub = add("hide", cmd_hide, "embed a color secret in a grayscale cover")
     sub.add_argument("--cover", required=True)
     sub.add_argument("--secret", required=True)
-    sub.add_argument("--out", required=True)
-    sub.add_argument("--key", required=True)
+    sub.add_argument("--out", required=True, action=_Output)
+    sub.add_argument("--key", required=True, action=_Output)
     _add_defaults(sub, conceal, mode=STEGO_MODES)
 
     sub = add("reveal", cmd_reveal, "recover the secret from a container")
     sub.add_argument("--container", required=True)
     sub.add_argument("--key", required=True)
-    sub.add_argument("--out", required=True)
-    sub.add_argument("--out-cover", default=None)
+    sub.add_argument("--out", required=True, action=_Output)
+    sub.add_argument("--out-cover", default=None, action=_Output)
     sub.add_argument("--ref-secret", default=None)
     sub.add_argument("--ref-cover", default=None)
 
@@ -298,37 +319,14 @@ def _write_manifest(args, artifacts, wall_clock):
     write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _check_outputs(args):
-    """Refuse, before any input is read or any solve runs, an output that
-    cannot be written: each output file's directory must be a writable
-    directory, and so must the nearest existing ancestor of --out-dir, which
-    the run makes only once it succeeds."""
-    for name in ("out", "out_csv", "out_pgm", "out_cover", "out_dir"):
-        path = getattr(args, name, None)
-        if path is None:
-            continue
-        directory = os.path.dirname(path) or "."
-        if name == "out_dir":
-            directory = path
-            while not os.path.exists(directory):
-                directory = os.path.dirname(directory) or "."
-        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
-            raise OSError(
-                f"--{name.replace('_', '-')} {path}: {directory} is not a writable directory"
-            )
-
-
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    t0 = time.time()
-    try:
-        _check_outputs(args)
+        args = build_parser().parse_args(argv)
+        t0 = time.time()
         artifacts = args.func(args)
         _write_manifest(args, artifacts, time.time() - t0)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except DivergenceDetected as exc:
         print(f"rtd: solver diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
