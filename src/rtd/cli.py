@@ -5,8 +5,10 @@ Subcommands cover decomposition (decompose), the synthetic experiments
 diagnostics (bound, incoherence).  Every run is seed-driven: hide,
 incoherence and the experiments take --seed, and operator files and stego
 keys carry their own seeds.  File outputs are deterministic for fixed
-arguments.  Exit codes: 0 success, 1 usage, 2 data error, 3 solver
-divergence.
+arguments.  Each output flag checks its path as it is parsed, before any
+input is read or any solve runs: an empty path, a file output that names a
+directory, or an output no writable directory can hold exits 2.  Exit
+codes: 0 success, 1 usage, 2 data error, 3 solver divergence.
 """
 
 import argparse
@@ -44,6 +46,11 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
+# The most values a start:stop[:step] range may hold, checked before the range
+# is built.  Each value costs at least one solve per trial, so no study that
+# can finish comes near it, and a tuple of 10,000 ints stays under 1 MB.
+MAX_VALUES = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags; the contract reserves 2 for data errors."""
@@ -62,7 +69,7 @@ class _Output(argparse.Action):
     path raises OSError naming the flag and the path."""
 
     def __call__(self, parser, namespace, path, option_string=None):
-        if not path or os.path.isdir(path) and self.dest != "out_dir":
+        if not path or (os.path.isdir(path) and self.dest != "out_dir"):
             raise OSError(f"{option_string} {path!r}: is {'a directory' if path else 'empty'}")
         directory = os.path.dirname(path) or "."
         if self.dest == "out_dir":
@@ -87,6 +94,8 @@ def parse_values(text):
             raise ValueError(f"bad range {text!r}, want start:stop[:step]")
         if step < 1 or stop < start:
             raise ValueError(f"bad range {text!r}")
+        if (stop - start) // step >= MAX_VALUES:
+            raise ValueError(f"bad range {text!r}: more than {MAX_VALUES} values")
         return tuple(range(start, stop + 1, step))
     return tuple(int(v) for v in text.split(","))
 
@@ -175,17 +184,15 @@ def cmd_phase(args):
     return artifacts
 
 
-def cmd_noise(args):
-    spec = NoiseSweepSpec(**_flag_values(NoiseSweepSpec, args))
-    rows = run_noise_sweep(spec, threads=args.threads)
-    write_text(args.out_csv, noise_csv(spec, rows))
-    return [args.out_csv]
-
-
-def cmd_dropout(args):
-    spec = DropoutSpec(**_flag_values(DropoutSpec, args))
-    rows = run_dropout_experiment(spec, threads=args.threads)
-    write_text(args.out_csv, dropout_csv(spec, rows))
+def cmd_sweep(args):
+    # Built per call, so the study is looked up when the command runs.
+    spec_type, run, to_csv = {
+        "noise": (NoiseSweepSpec, run_noise_sweep, noise_csv),
+        "dropout": (DropoutSpec, run_dropout_experiment, dropout_csv),
+    }[args.subcommand]
+    spec = spec_type(**_flag_values(spec_type, args))
+    rows = run(spec, threads=args.threads)
+    write_text(args.out_csv, to_csv(spec, rows))
     return [args.out_csv]
 
 
@@ -270,8 +277,8 @@ def build_parser():
     sub = experiment("phase", cmd_phase, "tSIR grid over rank and size or count", PhaseGridSpec)
     _add_defaults(sub, render_heatmap)
     sub.add_argument("--out-pgm", default=None, action=_Output)
-    experiment("noise", cmd_noise, "tSIR under additive Gaussian noise", NoiseSweepSpec)
-    experiment("dropout", cmd_dropout, "component-count estimation accuracy", DropoutSpec)
+    experiment("noise", cmd_sweep, "tSIR under additive Gaussian noise", NoiseSweepSpec)
+    experiment("dropout", cmd_sweep, "component-count estimation accuracy", DropoutSpec)
 
     sub = add("hide", cmd_hide, "embed a color secret in a grayscale cover")
     sub.add_argument("--cover", required=True)

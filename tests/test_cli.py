@@ -44,6 +44,12 @@ def test_parse_values():
         parse_values("1:2:3:4")
     with pytest.raises(ValueError):
         parse_values("2:8:0")
+    # A range is refused by its length before it is built.
+    assert len(parse_values(f"1:{cli.MAX_VALUES}")) == cli.MAX_VALUES
+    assert len(parse_values(f"0:{2 * cli.MAX_VALUES - 1}:2")) == cli.MAX_VALUES
+    for text in (f"1:{cli.MAX_VALUES + 1}", f"0:{2 * cli.MAX_VALUES}:2", f"1:{10**30}"):
+        with pytest.raises(ValueError, match="more than"):
+            parse_values(text)
 
 
 def test_bound_prints_min_n(capsys):
@@ -503,11 +509,15 @@ def test_phase_tiny_csv_and_pgm(tmp_path):
     assert csv2.read_bytes() == csv_path.read_bytes()
 
 
-def test_phase_bad_range_exits_2(tmp_path):
-    assert main([
-        "phase", "--ranks", "5:1", "--axis", "18", "--trials", "1",
-        "--out-csv", str(tmp_path / "x.csv"),
-    ]) == 2
+def test_phase_bad_range_exits_2(tmp_path, capsys):
+    for ranks in ("5:1", "1:10000000000000"):
+        assert main([
+            "phase", "--ranks", ranks, "--axis", "18", "--trials", "1",
+            "--out-csv", str(tmp_path / "x.csv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rtd: bad range '{ranks}'") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_noise_tiny(tmp_path):
@@ -565,6 +575,17 @@ def _refuse(what):
     return refuse
 
 
+def _bad_outputs(tmp_path):
+    """File outputs no run can write: in a missing directory, a directory, empty."""
+    return [str(tmp_path / "missing" / "x.out"), str(tmp_path), ""]
+
+
+def _assert_refused(capsys, flag, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"rtd: {flag} ") and err.count("\n") == 1
+    assert f" {path}: " in err or f" {path!r}: " in err
+
+
 @pytest.mark.parametrize("subcommand,runner", [
     ("phase", "run_phase_grid"), ("noise", "run_noise_sweep"),
     ("dropout", "run_dropout_experiment"),
@@ -573,15 +594,17 @@ def test_experiments_refuse_a_missing_output_directory_before_solving(
     subcommand, runner, tmp_path, capsys, monkeypatch
 ):
     monkeypatch.setattr(cli, runner, _refuse("the study"))
-    missing = str(tmp_path / "missing" / "x.csv")
-    assert main([subcommand, "--threads", "1", "--out-csv", missing]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"rtd: --out-csv {missing}: ") and err.count("\n") == 1
-    if subcommand == "phase":
-        assert main([
-            "phase", "--out-csv", str(tmp_path / "p.csv"), "--out-pgm", missing,
-        ]) == 2
-        assert capsys.readouterr().err.startswith(f"rtd: --out-pgm {missing}: ")
+    flags = ("--out-csv", "--out-pgm") if subcommand == "phase" else ("--out-csv",)
+    for flag in flags:
+        for bad in _bad_outputs(tmp_path):
+            # A repeated --out-csv keeps its last value.
+            assert main([
+                subcommand, "--threads", "1", "--out-csv", str(tmp_path / "p.csv"), flag, bad,
+            ]) == 2
+            _assert_refused(capsys, flag, bad)
+    # Each flag is checked as it is parsed, before a later usage error.
+    assert main([subcommand, "--out-csv", "", "--threads", "x"]) == 2
+    _assert_refused(capsys, "--out-csv", "")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -597,15 +620,30 @@ def test_reveal_refuses_a_missing_output_directory_before_reading(flag, tmp_path
     made = sorted(tmp_path.iterdir())
     monkeypatch.setattr(cli, "read_key", _refuse("reading the key"))
     monkeypatch.setattr(cli, "reveal", _refuse("the reveal"))
-    missing = str(tmp_path / "missing" / "x.pgm")
     capsys.readouterr()
-    # A repeated --out keeps its last value.
-    assert main([
-        "reveal", "--container", str(container), "--key", str(key),
-        "--out", str(tmp_path / "s.ppm"), flag, missing,
-    ]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"rtd: {flag} {missing}: ") and err.count("\n") == 1
+    for bad in _bad_outputs(tmp_path):
+        # A repeated --out keeps its last value.
+        assert main([
+            "reveal", "--container", str(container), "--key", str(key),
+            "--out", str(tmp_path / "s.ppm"), flag, bad,
+        ]) == 2
+        _assert_refused(capsys, flag, bad)
+    assert sorted(tmp_path.iterdir()) == made
+
+
+@pytest.mark.parametrize("flag", ["--out", "--key"])
+def test_hide_refuses_a_bad_output_before_reading(flag, tmp_path, capsys, monkeypatch):
+    cover_path, secret_path = _write_images(tmp_path)
+    made = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "read_image", _refuse("reading an image"))
+    monkeypatch.setattr(cli, "conceal", _refuse("conceal"))
+    for bad in _bad_outputs(tmp_path):
+        # Neither the container nor the key is written when one cannot be.
+        assert main([
+            "hide", "--cover", str(cover_path), "--secret", str(secret_path),
+            "--out", str(tmp_path / "c2.pgm"), "--key", str(tmp_path / "k"), flag, bad,
+        ]) == 2
+        _assert_refused(capsys, flag, bad)
     assert sorted(tmp_path.iterdir()) == made
 
 
@@ -620,6 +658,8 @@ def test_decompose_refuses_an_out_dir_it_cannot_make_before_reading(tmp_path, ca
         ]) == 2
         err = capsys.readouterr().err
         assert err == f"rtd: --out-dir {out_dir}: {tensor} is not a writable directory\n"
+    assert main(["decompose", "--tensor", str(tensor), "--ops", str(ops), "--out-dir", ""]) == 2
+    assert capsys.readouterr().err == "rtd: --out-dir '': is empty\n"
     assert sorted(tmp_path.iterdir()) == made
 
 
