@@ -7,8 +7,11 @@ incoherence and the experiments take --seed, and operator files and stego
 keys carry their own seeds.  File outputs are deterministic for fixed
 arguments.  Each output flag checks its path as it is parsed, before any
 input is read or any solve runs: an empty path, a file output that names a
-directory, or an output no writable directory can hold exits 2.  Exit
-codes: 0 success, 1 usage, 2 data error, 3 solver divergence.
+directory, an output no writable directory can hold, or two output flags
+that name one file exits 2.  A manifest that would overwrite an output of
+its run exits 2 after the outputs are written, as does a size too large to
+allocate.  Exit codes: 0 success, 1 usage, 2 data error, 3 solver
+divergence.
 """
 
 import argparse
@@ -65,8 +68,10 @@ class _Output(argparse.Action):
     input is read or any solve runs.  No output path may be empty.  A file
     output must not be an existing directory and must sit in a writable
     directory.  --out-dir, which the run makes only once it succeeds, must
-    have a writable directory as its nearest existing ancestor.  A refused
-    path raises OSError naming the flag and the path."""
+    have a writable directory as its nearest existing ancestor.  No two
+    output flags of a command may name one file (by ``os.path.realpath``);
+    a repeated flag keeps its last value.  A refused path raises OSError
+    naming the flag and the path, and for a clash the other flag too."""
 
     def __call__(self, parser, namespace, path, option_string=None):
         if not path or (os.path.isdir(path) and self.dest != "out_dir"):
@@ -78,6 +83,11 @@ class _Output(argparse.Action):
                 directory = os.path.dirname(directory) or "."
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise OSError(f"{option_string} {path}: {directory} is not a writable directory")
+        for other in parser._actions:
+            taken = getattr(namespace, other.dest, None)
+            if (isinstance(other, _Output) and other.dest != self.dest and taken
+                    and os.path.realpath(taken) == os.path.realpath(path)):
+                raise OSError(f"{option_string} {path}: same file as {other.option_strings[0]}")
         setattr(namespace, self.dest, path)
 
 
@@ -313,6 +323,8 @@ def _write_manifest(args, artifacts, wall_clock):
         if not artifacts:
             return
         path = artifacts[0] + ".manifest.json"
+    if os.path.realpath(path) in map(os.path.realpath, artifacts):
+        raise OSError(f"manifest {path}: same file as an output of this run")
     params = {
         k: v for k, v in vars(args).items() if k not in ("func", "manifest")
     }
@@ -337,8 +349,8 @@ def main(argv=None):
     except DivergenceDetected as exc:
         print(f"rtd: solver diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (RtdError, OSError, ValueError) as exc:
-        print(f"rtd: {exc}", file=sys.stderr)
+    except (RtdError, OSError, ValueError, MemoryError) as exc:
+        print(f"rtd: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK
 

@@ -29,15 +29,14 @@ def make_instance(n, r, N, seed):
     shape is the flat (n*n,); random permutations make any higher-order
     shape equivalent.  N must be a count >= 1 (ValueError) and the seed in
     range for the stream (BadIndex); n and r are checked by
-    ``random_semi_orthonormal_pair`` (BadRank).
+    ``random_semi_orthonormal_pair`` (BadRank).  The n x r factors and the
+    operators are made before any n x n component, so an n too large for a
+    reshuffle (n*n > 2**32) is refused before that is allocated.
     """
     N, seed = check_count(N, ValueError, "N"), check_seed(seed)
-    comps = []
-    ops = []
-    for i in range(N):
-        U, V = random_semi_orthonormal_pair(n, r, derive_seed(seed, i))
-        comps.append(U @ V.T)
-        ops.append(reshuffle_from_seed(n, n, (n * n,), derive_seed(seed, N + i)))
+    pairs = [random_semi_orthonormal_pair(n, r, derive_seed(seed, i)) for i in range(N)]
+    ops = [reshuffle_from_seed(n, n, (n * n,), derive_seed(seed, N + i)) for i in range(N)]
+    comps = [U @ V.T for U, V in pairs]
     return comps, ops, observe(ops, comps)
 
 
@@ -46,8 +45,7 @@ def noise_sigma(X, snr_db):
     snr_db = float(snr_db)
     if not np.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
-    scaled, e = binary_scaled(np.asarray(X, dtype=np.float64))
-    norm = float(np.linalg.norm(scaled))
+    scaled, e, norm = binary_scaled(np.asarray(X, dtype=np.float64))
     if norm == 0.0:
         raise AllZeroSignal("cannot scale noise against a zero tensor")
     return math.ldexp(norm / math.sqrt(scaled.size * 10.0 ** (snr_db / 10.0)), e)
@@ -58,9 +56,9 @@ def _check_spec(spec, lists, counts, max_rank=math.inf):
     bad value fails before any cell is solved: the named value lists are
     nonempty; the named counts (trials per cell, sizes, component counts)
     pass ``errors.check_count``; every rank is an integer in [1, max_rank],
-    or BadRank; every SNR is finite; and the seed is in range for the
-    stream.  Integers follow the ``operator.index`` rule of
-    ``errors.check_ints`` and are stored as Python ints."""
+    or BadRank; and the seed is in range for the stream.  Integers follow
+    the ``operator.index`` rule of ``errors.check_ints`` and are stored as
+    Python ints."""
     for name in lists:
         if not getattr(spec, name):
             raise ValueError(f"{name} must be nonempty")
@@ -70,8 +68,6 @@ def _check_spec(spec, lists, counts, max_rank=math.inf):
     if not 1 <= min(ranks) <= max(ranks) <= max_rank:
         raise BadRank(f"ranks must be in [1, {max_rank}], got {ranks}")
     object.__setattr__(spec, "ranks", ranks)
-    if "snrs_db" in lists and not all(math.isfinite(float(s)) for s in spec.snrs_db):
-        raise ValueError(f"snrs_db must be finite, got {spec.snrs_db}")
     object.__setattr__(spec, "seed", check_seed(spec.seed))
 
 
@@ -130,31 +126,29 @@ class PhaseGridSpec:
             return self.axis[col], r, self.fixed
         return self.fixed, r, self.axis[col]
 
+    def bound_flags(self):
+        """Boolean (ranks x axis) flags marking, per rank row, the cell on
+        the theoretical bound: the smallest size at or past the minimum size
+        in rank_vs_size mode, the largest count it still holds for in
+        rank_vs_count mode.  Such a cell has n > r, so it is never invalid."""
+        flags = np.zeros((len(self.ranks), len(self.axis)), dtype=bool)
+        for row, r in enumerate(self.ranks):
+            params = (self.cell_params(row, col) for col in range(len(self.axis)))
+            inside = [col for col, (n, _, N) in enumerate(params)
+                      if n >= recovery_bound_min_n(N, r)]
+            if inside:
+                col = min(inside) if self.mode == "rank_vs_size" else max(inside)
+                flags[row, col] = True
+        return flags
+
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Mean tSIR per cell, with invalid cells (r > n) as NaN, and bound-line
-    flags."""
+    """Mean tSIR per cell, with invalid cells (r > n) as NaN.  The bound
+    cells are the spec's: ``spec.bound_flags()``."""
 
     spec: PhaseGridSpec
     cells: np.ndarray
-    bound_flags: np.ndarray
-
-
-def _bound_flags(spec, shape):
-    """Mark, per rank row, the first cell at or past the theoretical minimum
-    size; such a cell has n > r, so it is never invalid."""
-    flags = np.zeros(shape, dtype=bool)
-    for row, r in enumerate(spec.ranks):
-        inside = []
-        for col in range(len(spec.axis)):
-            n, _, N = spec.cell_params(row, col)
-            if n >= recovery_bound_min_n(N, r):
-                inside.append(col)
-        if inside:
-            col = min(inside) if spec.mode == "rank_vs_size" else max(inside)
-            flags[row, col] = True
-    return flags
 
 
 def _phase_trial(spec, cell, seed):
@@ -173,14 +167,15 @@ def run_phase_grid(spec, threads=1):
     cells = np.full(shape, np.nan)
     for cell, values in _run_cells(spec, _phase_trial, grid, threads):
         cells[cell] = np.mean(values)
-    return PhaseGrid(spec, cells, _bound_flags(spec, shape))
+    return PhaseGrid(spec, cells)
 
 
 def phase_csv(grid):
     """One line per cell: rank, axis value, trials, mean tSIR, bound flag."""
     spec = grid.spec
+    flags = spec.bound_flags()
     rows = [
-        (r, a, spec.trials, grid.cells[row, col], grid.bound_flags[row, col])
+        (r, a, spec.trials, grid.cells[row, col], flags[row, col])
         for row, r in enumerate(spec.ranks)
         for col, a in enumerate(spec.axis)
     ]
@@ -207,7 +202,7 @@ def render_heatmap(grid, lo_db=15.0, hi_db=25.0):
     ramp = (grid.cells - lo_db) / (hi_db - lo_db)
     ramp = np.clip(np.nan_to_num(ramp, nan=0.0), 0.0, 1.0)
     img = np.rint(ramp * 255.0).astype(np.uint8)
-    img[grid.bound_flags] = 128
+    img[grid.spec.bound_flags()] = 128
     return img
 
 
@@ -224,6 +219,8 @@ class NoiseSweepSpec:
 
     def __post_init__(self):
         _check_spec(self, ("ranks", "snrs_db"), ("n", "N", "trials"), self.n)
+        if not all(math.isfinite(float(s)) for s in self.snrs_db):
+            raise ValueError(f"snrs_db must be finite, got {self.snrs_db}")
 
 
 # The noisy solves stop one decade below the noise floor: stopping exactly
@@ -265,19 +262,20 @@ def noise_csv(spec, rows):
 
 
 @dataclass(frozen=True)
-class DropoutSpec:
-    """Count-estimation runs with components removed by a fair coin."""
+class DropoutSpec(NoiseSweepSpec):
+    """Count-estimation runs with components removed by a fair coin: a noise
+    sweep's fields and checks, its own defaults, and the count threshold
+    ``eta`` of ``estimate_component_count``."""
 
     n: int = 60
     N: int = 6
     ranks: tuple = (1,)
     snrs_db: tuple = (30,)
     trials: int = 10
-    seed: int = 0
     eta: float = 0.1
 
     def __post_init__(self):
-        _check_spec(self, ("ranks", "snrs_db"), ("n", "N", "trials"), self.n)
+        super().__post_init__()
         object.__setattr__(self, "eta", check_positive(self.eta, ValueError, "eta"))
 
 

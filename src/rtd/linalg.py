@@ -42,14 +42,16 @@ def _as_finite_matrix(M):
 
 
 def binary_scaled(X):
-    """(X * 2**-e, e), with e the binary exponent of max|X| (0 for a zero X).
+    """(X * 2**-e, e, ||X * 2**-e||_F), with e the binary exponent of max|X|
+    (0 for a zero X).
 
     A power-of-two scale rounds no entry that stays in float64's normal
     range, so the norm of the scaled copy neither over- nor underflows in
     its squares, and times 2**e it is the norm of X.
     """
     e = math.frexp(float(np.abs(X).max(initial=0.0)))[1]
-    return np.ldexp(X, -e), e
+    scaled = np.ldexp(X, -e)
+    return scaled, e, float(np.linalg.norm(scaled))
 
 
 def svd_full(M):

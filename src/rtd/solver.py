@@ -86,8 +86,8 @@ def at_noise_floor(config, X, sigma):
     """
     # Relative to X * 2**-e, so the floor does not change with the scale of X,
     # and capped at float64's largest value in the units of X.
-    X, e = binary_scaled(X)
-    floor = sigma * math.sqrt(X.size) / max(float(np.linalg.norm(X)), 1e-300)
+    X, e, norm_x = binary_scaled(X)
+    floor = sigma * math.sqrt(X.size) / max(norm_x, 1e-300)
     cap = math.ldexp(sys.float_info.max, min(e, 0))
     return dataclasses.replace(config, tol=max(config.tol, math.ldexp(min(floor, cap), -e)))
 
@@ -193,8 +193,7 @@ def decompose(problem, config=None):
     if not np.isfinite(X).all():
         raise NonFinite("observation contains NaN or Inf")
 
-    X, e = binary_scaled(X)
-    norm_x = float(np.linalg.norm(X))
+    X, e, norm_x = binary_scaled(X)
     if math.frexp(norm_x)[1] + e > sys.float_info.max_exp:
         raise NonFinite("observation norm overflows float64")
     scale = norm_x if norm_x > 0.0 else 1.0

@@ -1,7 +1,10 @@
 import functools
 import inspect
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -575,9 +578,12 @@ def _refuse(what):
     return refuse
 
 
-def _bad_outputs(tmp_path):
-    """File outputs no run can write: in a missing directory, a directory, empty."""
-    return [str(tmp_path / "missing" / "x.out"), str(tmp_path), ""]
+def _bad_outputs(tmp_path, *others):
+    """File outputs no run can write: in a missing directory, a directory,
+    empty, or the file of another output flag (``others``, named in
+    tmp_path), given by another path to it."""
+    return [str(tmp_path / "missing" / "x.out"), str(tmp_path), "",
+            *(os.path.join(tmp_path, ".", other) for other in others)]
 
 
 def _assert_refused(capsys, flag, path):
@@ -596,7 +602,8 @@ def test_experiments_refuse_a_missing_output_directory_before_solving(
     monkeypatch.setattr(cli, runner, _refuse("the study"))
     flags = ("--out-csv", "--out-pgm") if subcommand == "phase" else ("--out-csv",)
     for flag in flags:
-        for bad in _bad_outputs(tmp_path):
+        others = ["p.csv"] if flag == "--out-pgm" else []
+        for bad in _bad_outputs(tmp_path, *others):
             # A repeated --out-csv keeps its last value.
             assert main([
                 subcommand, "--threads", "1", "--out-csv", str(tmp_path / "p.csv"), flag, bad,
@@ -621,7 +628,7 @@ def test_reveal_refuses_a_missing_output_directory_before_reading(flag, tmp_path
     monkeypatch.setattr(cli, "read_key", _refuse("reading the key"))
     monkeypatch.setattr(cli, "reveal", _refuse("the reveal"))
     capsys.readouterr()
-    for bad in _bad_outputs(tmp_path):
+    for bad in _bad_outputs(tmp_path, *(["s.ppm"] if flag == "--out-cover" else [])):
         # A repeated --out keeps its last value.
         assert main([
             "reveal", "--container", str(container), "--key", str(key),
@@ -637,7 +644,7 @@ def test_hide_refuses_a_bad_output_before_reading(flag, tmp_path, capsys, monkey
     made = sorted(tmp_path.iterdir())
     monkeypatch.setattr(cli, "read_image", _refuse("reading an image"))
     monkeypatch.setattr(cli, "conceal", _refuse("conceal"))
-    for bad in _bad_outputs(tmp_path):
+    for bad in _bad_outputs(tmp_path, {"--out": "k", "--key": "c2.pgm"}[flag]):
         # Neither the container nor the key is written when one cannot be.
         assert main([
             "hide", "--cover", str(cover_path), "--secret", str(secret_path),
@@ -645,6 +652,60 @@ def test_hide_refuses_a_bad_output_before_reading(flag, tmp_path, capsys, monkey
         ]) == 2
         _assert_refused(capsys, flag, bad)
     assert sorted(tmp_path.iterdir()) == made
+
+
+def test_a_manifest_naming_an_output_exits_2_and_keeps_the_outputs(tmp_path, capsys):
+    cover_path, secret_path = _write_images(tmp_path)
+    hide = ["hide", "--cover", str(cover_path), "--secret", str(secret_path)]
+    assert main([*hide, "--out", str(tmp_path / "c.pgm"), "--key", str(tmp_path / "k")]) == 0
+    container, key = (tmp_path / "c.pgm").read_bytes(), (tmp_path / "k").read_bytes()
+    for out, key_path, manifest in (
+        ("c2.pgm", "k2", ["--manifest", str(tmp_path / "c2.pgm")]),
+        # The key sits at the container's default manifest path.
+        ("c3.pgm", "c3.pgm.manifest.json", []),
+    ):
+        assert main([
+            *hide, "--out", str(tmp_path / out), "--key", str(tmp_path / key_path), *manifest,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rtd: manifest ") and err.count("\n") == 1
+        assert (tmp_path / out).read_bytes() == container
+        assert (tmp_path / key_path).read_bytes() == key
+
+
+def test_a_size_too_large_for_a_reshuffle_exits_2_before_allocating(tmp_path, capsys):
+    # n*n = 4e10 entries: the operator is refused before any n x n component exists.
+    csv_path = tmp_path / "p.csv"
+    assert main([
+        "phase", "--axis", "200000", "--ranks", "1", "--trials", "1", "--threads", "1",
+        "--out-csv", str(csv_path),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rtd: ") and err.count("\n") == 1
+    assert "relocates at most 2**32 entries" in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's RLIMIT_AS")
+def test_a_size_too_large_to_allocate_exits_2(tmp_path):
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    # A 30000 x 30000 component takes 6.71 GiB, past the child's 2 GiB cap.  One
+    # BLAS thread keeps the buffers OpenBLAS reserves at import inside the cap.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    csv_path = tmp_path / "p.csv"
+    run = subprocess.run([
+        sys.executable, "-m", "rtd.cli", "phase", "--axis", "30000", "--ranks", "1",
+        "--trials", "1", "--threads", "1", "--out-csv", str(csv_path),
+    ], env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr.startswith("rtd: ") and run.stderr.count("\n") == 1
+    assert not csv_path.exists()
 
 
 def test_decompose_refuses_an_out_dir_it_cannot_make_before_reading(tmp_path, capsys, monkeypatch):

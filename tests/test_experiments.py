@@ -128,9 +128,13 @@ def test_phase_grid_tiny():
     assert np.isnan(grid.cells[1, 0])
     assert not np.isnan(grid.cells[0, 0])
     assert np.isfinite(grid.cells[0, 1])
-    # n=20 exceeds the r=1, N=2 bound of 17, so the flag sits there
-    assert grid.bound_flags[0, 1]
-    assert not grid.bound_flags[0, 0]
+    # n=20 exceeds the r=1, N=2 bound of 17, so the flag sits there; r=6
+    # needs n >= 97, so its row has none
+    assert grid.spec.bound_flags().tolist() == [[False, True], [False, False]]
+    # n=60 holds the bound at N=2 (17) and N=3 (50) but not N=4 (101): the
+    # flag sits on the largest count inside it
+    count = PhaseGridSpec("rank_vs_count", 60, ranks=(1,), axis=(2, 3, 4))
+    assert count.bound_flags().tolist() == [[False, True, False]]
     # recovery above the bound should be essentially exact
     assert grid.cells[0, 1] > 100.0
 
@@ -161,19 +165,21 @@ def test_phase_csv_format():
 
 
 def test_render_heatmap_levels():
+    # n <= 6 is below every bound, so no cell is flagged
     spec = PhaseGridSpec("rank_vs_size", 2, ranks=(1, 2), axis=(5, 6), trials=1)
     cells = np.array([[30.0, 10.0], [20.0, np.nan]])
-    flags = np.zeros((2, 2), dtype=bool)
     from rtd.experiments import PhaseGrid
 
-    g = PhaseGrid(spec, cells, flags)
+    g = PhaseGrid(spec, cells)
     img = render_heatmap(g, lo_db=15.0, hi_db=25.0)
     assert img.dtype == np.uint8
     assert img[0, 0] == 255  # saturated above hi
     assert img[0, 1] == 0  # below lo
     assert img[1, 0] == 128  # midpoint of the ramp
     assert img[1, 1] == 0  # invalid cell drawn black
-    g2 = PhaseGrid(spec, cells, np.array([[False, True], [False, False]]))
+    # n=17 is the r=1, N=2 bound
+    bound = PhaseGridSpec("rank_vs_size", 2, ranks=(1,), axis=(5, 17), trials=1)
+    g2 = PhaseGrid(bound, cells[:1])
     assert render_heatmap(g2)[0, 1] == 128  # bound marker overrides the ramp
     with pytest.raises(ValueError):
         render_heatmap(g, lo_db=25.0, hi_db=15.0)
