@@ -628,7 +628,8 @@ def test_reveal_refuses_a_missing_output_directory_before_reading(flag, tmp_path
     monkeypatch.setattr(cli, "read_key", _refuse("reading the key"))
     monkeypatch.setattr(cli, "reveal", _refuse("the reveal"))
     capsys.readouterr()
-    for bad in _bad_outputs(tmp_path, *(["s.ppm"] if flag == "--out-cover" else [])):
+    others = ["s.ppm"] if flag == "--out-cover" else []
+    for bad in _bad_outputs(tmp_path, *others):
         # A repeated --out keeps its last value.
         assert main([
             "reveal", "--container", str(container), "--key", str(key),
@@ -688,21 +689,19 @@ def test_a_size_too_large_for_a_reshuffle_exits_2_before_allocating(tmp_path, ca
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's RLIMIT_AS")
 def test_a_size_too_large_to_allocate_exits_2(tmp_path):
-    import resource
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-    # A 30000 x 30000 component takes 6.71 GiB, past the child's 2 GiB cap.  One
-    # BLAS thread keeps the buffers OpenBLAS reserves at import inside the cap.
+    # The child caps its own address space at 2 GiB before it imports rtd; a
+    # 30000 x 30000 component takes 6.71 GiB.  One BLAS thread keeps the
+    # buffers OpenBLAS reserves at import inside the cap.
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+             "from rtd.cli import main; sys.exit(main(sys.argv[1:]))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     csv_path = tmp_path / "p.csv"
     run = subprocess.run([
-        sys.executable, "-m", "rtd.cli", "phase", "--axis", "30000", "--ranks", "1",
+        sys.executable, "-c", child, "phase", "--axis", "30000", "--ranks", "1",
         "--trials", "1", "--threads", "1", "--out-csv", str(csv_path),
-    ], env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120)
+    ], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 2
     assert run.stderr.startswith("rtd: ") and run.stderr.count("\n") == 1
     assert not csv_path.exists()
