@@ -5,13 +5,13 @@ Subcommands cover decomposition (decompose), the synthetic experiments
 diagnostics (bound, incoherence).  Every run is seed-driven: hide,
 incoherence and the experiments take --seed, and operator files and stego
 keys carry their own seeds.  File outputs are deterministic for fixed
-arguments.  Each output flag checks its path as it is parsed, before any
+arguments.  Each file flag checks its path as it is parsed, before any
 input is read or any solve runs: an empty path, a file output that names a
-directory, an output no writable directory can hold, or two output flags
-that name one file exits 2.  A manifest that would overwrite an output of
-its run exits 2 after the outputs are written, as does a size too large to
-allocate.  Exit codes: 0 success, 1 usage, 2 data error, 3 solver
-divergence.
+directory, an output no writable directory can hold, two output flags that
+name one file, or an output or --manifest that names an input exits 2.  A
+manifest that would overwrite an output of its run exits 2 after the
+outputs are written, as does a size too large to allocate.  Exit codes:
+0 success, 1 usage, 2 data error, 3 solver divergence.
 """
 
 import argparse
@@ -30,7 +30,6 @@ from .experiments import (
     NoiseSweepSpec,
     PhaseGridSpec,
     dropout_csv,
-    heatmap_range,
     noise_csv,
     phase_csv,
     render_heatmap,
@@ -63,15 +62,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _Output(argparse.Action):
-    """An output flag, which checks its path as it is parsed, so before any
-    input is read or any solve runs.  No output path may be empty.  A file
-    output must not be an existing directory and must sit in a writable
-    directory.  --out-dir, which the run makes only once it succeeds, must
-    have a writable directory as its nearest existing ancestor.  No two
-    output flags of a command may name one file (by ``os.path.realpath``);
-    a repeated flag keeps its last value.  A refused path raises OSError
-    naming the flag and the path, and for a clash the other flag too."""
+def _listed(values):
+    """A flag's paths: its value, or each of several."""
+    return values if isinstance(values, list) else [values]
+
+
+class _Path(argparse.Action):
+    """An input file flag.  Every file flag is checked as it is parsed, so
+    before any input is read or any solve runs.  Two file flags of a command
+    may name one file (by ``os.path.realpath``) only when both are inputs,
+    which the run only reads, or when one is --manifest and the other an
+    output, a pair ``_write_manifest`` refuses once the outputs are written.
+    Otherwise the flag parsed second raises OSError naming the path and both
+    flags.  A repeated flag keeps its last value; a flag of several paths
+    checks each."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        for other in parser._actions:
+            taken = getattr(namespace, other.dest, None)
+            if (isinstance(other, _Path) and other.dest != self.dest and taken
+                    and {type(self), type(other)} not in ({_Path}, {_Output, _Manifest})):
+                for path in _listed(values):
+                    if os.path.realpath(path) in map(os.path.realpath, _listed(taken)):
+                        raise OSError(f"{option_string} {path}: same file as {other.option_strings[0]}")
+        setattr(namespace, self.dest, values)
+
+
+class _Manifest(_Path):
+    """--manifest, which may not name an input of its run."""
+
+
+class _Output(_Path):
+    """An output flag.  No output path may be empty.  A file output must not
+    be an existing directory and must sit in a writable directory.
+    --out-dir, which the run makes only once it succeeds, must have a
+    writable directory as its nearest existing ancestor.  A refused path
+    raises OSError naming the flag and the path.  No output may name the
+    file of another output or of an input (see ``_Path``)."""
 
     def __call__(self, parser, namespace, path, option_string=None):
         if not path or (os.path.isdir(path) and self.dest != "out_dir"):
@@ -83,12 +110,7 @@ class _Output(argparse.Action):
                 directory = os.path.dirname(directory) or "."
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise OSError(f"{option_string} {path}: {directory} is not a writable directory")
-        for other in parser._actions:
-            taken = getattr(namespace, other.dest, None)
-            if (isinstance(other, _Output) and other.dest != self.dest and taken
-                    and os.path.realpath(taken) == os.path.realpath(path)):
-                raise OSError(f"{option_string} {path}: same file as {other.option_strings[0]}")
-        setattr(namespace, self.dest, path)
+        super().__call__(parser, namespace, path, option_string)
 
 
 def parse_values(text):
@@ -181,14 +203,11 @@ def cmd_decompose(args):
 
 def cmd_phase(args):
     spec = PhaseGridSpec(**_flag_values(PhaseGridSpec, args))
-    heatmap = _flag_values(render_heatmap, args)
-    if args.out_pgm:
-        heatmap_range(**heatmap)  # a bad range fails before the grid runs
     grid = run_phase_grid(spec, threads=args.threads)
     write_text(args.out_csv, phase_csv(grid))
     artifacts = [args.out_csv]
     if args.out_pgm:
-        img = render_heatmap(grid, **heatmap)
+        img = render_heatmap(grid)
         write_image(GrayImage(img.astype(float) / 255.0), args.out_pgm, maxval=255)
         artifacts.append(args.out_pgm)
     return artifacts
@@ -268,12 +287,12 @@ def build_parser():
     def add(name, func, help_text):
         sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
         sub.set_defaults(func=func)
-        sub.add_argument("--manifest", default=None)
+        sub.add_argument("--manifest", default=None, action=_Manifest)
         return sub
 
     sub = add("decompose", cmd_decompose, "split a stored tensor into components")
-    sub.add_argument("--tensor", required=True)
-    sub.add_argument("--ops", required=True)
+    sub.add_argument("--tensor", required=True, action=_Path)
+    sub.add_argument("--ops", required=True, action=_Path)
     sub.add_argument("--out-dir", required=True, action=_Output)
     _add_defaults(sub, SolverConfig)
 
@@ -285,33 +304,32 @@ def build_parser():
         return sub
 
     sub = experiment("phase", cmd_phase, "tSIR grid over rank and size or count", PhaseGridSpec)
-    _add_defaults(sub, render_heatmap)
     sub.add_argument("--out-pgm", default=None, action=_Output)
     experiment("noise", cmd_sweep, "tSIR under additive Gaussian noise", NoiseSweepSpec)
     experiment("dropout", cmd_sweep, "component-count estimation accuracy", DropoutSpec)
 
     sub = add("hide", cmd_hide, "embed a color secret in a grayscale cover")
-    sub.add_argument("--cover", required=True)
-    sub.add_argument("--secret", required=True)
+    sub.add_argument("--cover", required=True, action=_Path)
+    sub.add_argument("--secret", required=True, action=_Path)
     sub.add_argument("--out", required=True, action=_Output)
     sub.add_argument("--key", required=True, action=_Output)
     _add_defaults(sub, conceal, mode=STEGO_MODES)
 
     sub = add("reveal", cmd_reveal, "recover the secret from a container")
-    sub.add_argument("--container", required=True)
-    sub.add_argument("--key", required=True)
+    sub.add_argument("--container", required=True, action=_Path)
+    sub.add_argument("--key", required=True, action=_Path)
     sub.add_argument("--out", required=True, action=_Output)
     sub.add_argument("--out-cover", default=None, action=_Output)
-    sub.add_argument("--ref-secret", default=None)
-    sub.add_argument("--ref-cover", default=None)
+    sub.add_argument("--ref-secret", default=None, action=_Path)
+    sub.add_argument("--ref-cover", default=None, action=_Path)
 
     sub = add("bound", cmd_bound, "minimum size for guaranteed recovery")
     sub.add_argument("--N", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
 
     sub = add("incoherence", cmd_incoherence, "certificate report for stored components")
-    sub.add_argument("--components", nargs="+", required=True)
-    sub.add_argument("--ops", required=True)
+    sub.add_argument("--components", nargs="+", required=True, action=_Path)
+    sub.add_argument("--ops", required=True, action=_Path)
     _add_defaults(sub, incoherence_lower_bound)
 
     return parser

@@ -5,6 +5,7 @@ heatmap output.
 
 import itertools
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -182,24 +183,19 @@ def phase_csv(grid):
     return csv_text("row_value,col_value,trial_count,mean_tsir_db,bound_flag", rows)
 
 
-def heatmap_range(lo_db, hi_db):
-    """(lo_db, hi_db) as floats; ValueError unless hi_db > lo_db."""
-    lo_db = float(lo_db)
-    hi_db = float(hi_db)
-    if not hi_db > lo_db:
-        raise ValueError(f"need hi_db > lo_db, got {lo_db} >= {hi_db}")
-    return lo_db, hi_db
+# The heatmap's ramp.  White is the recovery line: a cell at 25 dB tSIR or
+# more counts as recovered in the acceptance tests and the benchmark.
+LO_DB, HI_DB = 15.0, 25.0
 
 
-def render_heatmap(grid, lo_db=15.0, hi_db=25.0):
-    """8-bit grayscale cells: black at/below lo_db, white at/past hi_db.
+def render_heatmap(grid):
+    """8-bit grayscale cells: black at/below LO_DB, white at/past HI_DB.
 
     Rows are ranks ascending top to bottom, columns the other axis
     ascending left to right.  Theoretical-bound cells are drawn at the
     mid-gray marker 128; invalid cells at black.
     """
-    lo_db, hi_db = heatmap_range(lo_db, hi_db)
-    ramp = (grid.cells - lo_db) / (hi_db - lo_db)
+    ramp = (grid.cells - LO_DB) / (HI_DB - LO_DB)
     ramp = np.clip(np.nan_to_num(ramp, nan=0.0), 0.0, 1.0)
     img = np.rint(ramp * 255.0).astype(np.uint8)
     img[grid.spec.bound_flags()] = 128
@@ -219,8 +215,8 @@ class NoiseSweepSpec:
 
     def __post_init__(self):
         _check_spec(self, ("ranks", "snrs_db"), ("n", "N", "trials"), self.n)
-        if not all(math.isfinite(float(s)) for s in self.snrs_db):
-            raise ValueError(f"snrs_db must be finite, got {self.snrs_db}")
+        if not all(isinstance(s, numbers.Real) and math.isfinite(s) for s in self.snrs_db):
+            raise ValueError(f"snrs_db must be finite real numbers, got {self.snrs_db}")
 
 
 # The noisy solves stop one decade below the noise floor: stopping exactly

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rtd.cli as cli
+import rtd.experiments as experiments
 import rtd.reshuffle as reshuffle
 import rtd.solver as solver
 import rtd.stego as stego
@@ -21,7 +22,6 @@ from rtd.experiments import (
     DropoutSpec,
     NoiseSweepSpec,
     PhaseGridSpec,
-    render_heatmap,
     run_dropout_experiment,
     run_noise_sweep,
     run_phase_grid,
@@ -253,6 +253,17 @@ def test_rho_and_kappa0_flags_are_gone(tmp_path):
         assert not (tmp_path / "o").exists()
 
 
+def test_heatmap_range_flags_are_gone(tmp_path):
+    # The heatmap's ramp is fixed at experiments.LO_DB to HI_DB.
+    for flag in ("--lo-db", "--hi-db"):
+        assert main([
+            "phase", "--ranks", "1", "--axis", "18", "--trials", "1", "--threads", "1",
+            "--out-csv", str(tmp_path / "p.csv"), "--out-pgm", str(tmp_path / "p.pgm"), flag, "10",
+        ]) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert not hasattr(experiments, "heatmap_range")
+
+
 @pytest.mark.parametrize("flag", ["--tol"])
 def test_decompose_refuses_an_infinite_solver_parameter(flag, tmp_path, capsys):
     tensor, ops, _ = _write_instance(tmp_path)
@@ -303,8 +314,6 @@ def test_experiment_flag_defaults_are_the_spec_defaults(monkeypatch):
         with pytest.raises(_SpecSeen) as seen:
             main([name, "--out-csv", "unused.csv"])
         assert seen.value.args[0] == spec
-    args = cli.build_parser().parse_args(["phase", "--out-csv", "unused.csv"])
-    assert (args.lo_db, args.hi_db) == render_heatmap.__defaults__
 
 
 def _stop_with_call(func):
@@ -363,11 +372,6 @@ def test_flag_values_reach_the_library(tmp_path, monkeypatch):
             "dropout", "--n", "30", "--N", "3", "--ranks", "1,3", "--snrs", "20",
             "--trials", "4", "--seed", "7", "--eta", "0.2", "--out-csv", csv_path,
         ], {"spec": DropoutSpec(30, 3, (1, 3), (20,), 4, 7, 0.2)}),
-        ("render_heatmap", render_heatmap, [
-            "phase", "--fixed", "2", "--ranks", "1", "--axis", "18", "--trials", "1",
-            "--threads", "1", "--lo-db", "10", "--hi-db", "30", "--out-csv", csv_path,
-            "--out-pgm", str(tmp_path / "out.pgm"),
-        ], {"lo_db": 10.0, "hi_db": 30.0}),
         ("conceal", stego.conceal, [
             "hide", "--cover", str(cover_path), "--secret", str(secret_path),
             "--out", str(tmp_path / "c.pgm"), "--key", str(tmp_path / "k"),
@@ -394,7 +398,7 @@ def test_flag_dests_are_the_manifest_parameter_names():
         (["decompose", "--tensor", "x", "--ops", "o", "--out-dir", "d"],
          {"tensor", "ops", "out_dir", "max_iter", "tol"}),
         (["phase", "--out-csv", "x"],
-         experiment | {"mode", "fixed", "axis", "lo_db", "hi_db", "out_pgm"}),
+         experiment | {"mode", "fixed", "axis", "out_pgm"}),
         (["noise", "--out-csv", "x"], experiment | {"n", "N", "snrs"}),
         (["dropout", "--out-csv", "x"], experiment | {"n", "N", "snrs", "eta"}),
         (["hide", "--cover", "c", "--secret", "s", "--out", "o", "--key", "k"],
@@ -420,7 +424,7 @@ def test_unknown_mode_is_a_usage_error(argv, tmp_path, monkeypatch):
     ["noise", "--snr", "5,6", "--out-csv", "x.csv"],
     ["hide", "--cover", "c.pgm", "--secret", "s.ppm", "--out", "o.pgm", "--key", "k",
      "--str", "0.2"],
-    ["phase", "--out-csv", "x.csv", "--lo", "10"],
+    ["phase", "--out-csv", "x.csv", "--tri", "1"],
 ])
 def test_flag_prefixes_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
@@ -433,19 +437,6 @@ def test_flag_prefixes_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert capsys.readouterr().out == ""
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_phase_checks_the_heatmap_range_before_solving(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the grid ran")
-
-    monkeypatch.setattr(cli, "run_phase_grid", refuse)
-    for lo, hi in (("30", "10"), ("20", "20")):
-        assert main([
-            "phase", "--lo-db", lo, "--hi-db", hi, "--out-pgm", str(tmp_path / "p.pgm"),
-            "--out-csv", str(tmp_path / "p.csv"),
-        ]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -499,8 +490,8 @@ def test_phase_tiny_csv_and_pgm(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "row_value,col_value,trial_count,mean_tsir_db,bound_flag"
     assert len(lines) == 3
-    img = read_image(pgm_path)
-    assert img.pixels.shape == (1, 2)
+    # The bound marker at n = 18, then white: n = 20 is recovered past HI_DB.
+    assert pgm_path.read_bytes() == b"P5\n2 1\n255\n" + bytes([128, 255])
     manifest = json.loads((tmp_path / "phase.csv.manifest.json").read_text())
     assert manifest["artifacts"] == [str(csv_path), str(pgm_path)]
     # identical arguments reproduce the CSV byte for byte
@@ -580,8 +571,8 @@ def _refuse(what):
 
 def _bad_outputs(tmp_path, *others):
     """File outputs no run can write: in a missing directory, a directory,
-    empty, or the file of another output flag (``others``, named in
-    tmp_path), given by another path to it."""
+    empty, or the file of another output or of an input flag (``others``,
+    named in tmp_path), given by another path to it."""
     return [str(tmp_path / "missing" / "x.out"), str(tmp_path), "",
             *(os.path.join(tmp_path, ".", other) for other in others)]
 
@@ -624,35 +615,36 @@ def test_reveal_refuses_a_missing_output_directory_before_reading(flag, tmp_path
         "hide", "--cover", str(cover_path), "--secret", str(secret_path),
         "--out", str(container), "--key", str(key),
     ]) == 0
-    made = sorted(tmp_path.iterdir())
+    made = {path: path.read_bytes() for path in tmp_path.iterdir()}
     monkeypatch.setattr(cli, "read_key", _refuse("reading the key"))
     monkeypatch.setattr(cli, "reveal", _refuse("the reveal"))
     capsys.readouterr()
     others = ["s.ppm"] if flag == "--out-cover" else []
-    for bad in _bad_outputs(tmp_path, *others):
+    for bad in _bad_outputs(tmp_path, *others, container.name, key.name):
         # A repeated --out keeps its last value.
         assert main([
             "reveal", "--container", str(container), "--key", str(key),
             "--out", str(tmp_path / "s.ppm"), flag, bad,
         ]) == 2
         _assert_refused(capsys, flag, bad)
-    assert sorted(tmp_path.iterdir()) == made
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == made
 
 
 @pytest.mark.parametrize("flag", ["--out", "--key"])
 def test_hide_refuses_a_bad_output_before_reading(flag, tmp_path, capsys, monkeypatch):
     cover_path, secret_path = _write_images(tmp_path)
-    made = sorted(tmp_path.iterdir())
+    made = {path: path.read_bytes() for path in tmp_path.iterdir()}
     monkeypatch.setattr(cli, "read_image", _refuse("reading an image"))
     monkeypatch.setattr(cli, "conceal", _refuse("conceal"))
-    for bad in _bad_outputs(tmp_path, {"--out": "k", "--key": "c2.pgm"}[flag]):
+    inputs = (cover_path.name, secret_path.name)
+    for bad in _bad_outputs(tmp_path, {"--out": "k", "--key": "c2.pgm"}[flag], *inputs):
         # Neither the container nor the key is written when one cannot be.
         assert main([
             "hide", "--cover", str(cover_path), "--secret", str(secret_path),
             "--out", str(tmp_path / "c2.pgm"), "--key", str(tmp_path / "k"), flag, bad,
         ]) == 2
         _assert_refused(capsys, flag, bad)
-    assert sorted(tmp_path.iterdir()) == made
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == made
 
 
 def test_a_manifest_naming_an_output_exits_2_and_keeps_the_outputs(tmp_path, capsys):
@@ -672,6 +664,33 @@ def test_a_manifest_naming_an_output_exits_2_and_keeps_the_outputs(tmp_path, cap
         assert err.startswith("rtd: manifest ") and err.count("\n") == 1
         assert (tmp_path / out).read_bytes() == container
         assert (tmp_path / key_path).read_bytes() == key
+
+
+def test_a_manifest_naming_an_input_exits_2_and_keeps_the_input(tmp_path, capsys, monkeypatch):
+    cover_path, secret_path = _write_images(tmp_path)
+    hide = ["hide", "--cover", str(cover_path), "--secret", str(secret_path)]
+    assert main([*hide, "--out", str(tmp_path / "c.pgm"), "--key", str(tmp_path / "k")]) == 0
+    paths, ops_path = _write_components(tmp_path)
+    made = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    for name in ("read_image", "read_key", "read_tensor", "read_ops"):
+        monkeypatch.setattr(cli, name, _refuse(name))
+    outputs = ["--out", str(tmp_path / "c2.pgm"), "--key", str(tmp_path / "k2")]
+    via = os.path.join(tmp_path, ".", cover_path.name)
+    for argv, flag, other in (
+        ([*hide, *outputs, "--manifest", via], "--manifest", "--cover"),
+        # The flag parsed second is refused, whichever it is.
+        (["hide", "--manifest", via, "--cover", str(cover_path), "--secret", str(secret_path),
+          *outputs], "--cover", "--manifest"),
+        (["reveal", "--container", str(tmp_path / "c.pgm"), "--key", str(tmp_path / "k"),
+          "--out", str(tmp_path / "s.ppm"), "--manifest", str(tmp_path / "k")],
+         "--manifest", "--key"),
+        (["incoherence", "--components", *paths, "--ops", str(ops_path),
+          "--manifest", paths[1]], "--manifest", "--components"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rtd: {flag} ") and err.endswith(f": same file as {other}\n")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == made
 
 
 def test_a_size_too_large_for_a_reshuffle_exits_2_before_allocating(tmp_path, capsys):

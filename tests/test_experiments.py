@@ -171,18 +171,16 @@ def test_render_heatmap_levels():
     from rtd.experiments import PhaseGrid
 
     g = PhaseGrid(spec, cells)
-    img = render_heatmap(g, lo_db=15.0, hi_db=25.0)
+    img = render_heatmap(g)
     assert img.dtype == np.uint8
-    assert img[0, 0] == 255  # saturated above hi
-    assert img[0, 1] == 0  # below lo
+    assert img[0, 0] == 255  # saturated above HI_DB, 25 dB
+    assert img[0, 1] == 0  # below LO_DB, 15 dB
     assert img[1, 0] == 128  # midpoint of the ramp
     assert img[1, 1] == 0  # invalid cell drawn black
     # n=17 is the r=1, N=2 bound
     bound = PhaseGridSpec("rank_vs_size", 2, ranks=(1,), axis=(5, 17), trials=1)
     g2 = PhaseGrid(bound, cells[:1])
     assert render_heatmap(g2)[0, 1] == 128  # bound marker overrides the ramp
-    with pytest.raises(ValueError):
-        render_heatmap(g, lo_db=25.0, hi_db=15.0)
 
 
 def test_noise_sweep_tiny_and_csv():
@@ -217,7 +215,7 @@ def test_noise_spec_validation():
             NoiseSweepSpec(n=60, ranks=ranks)
     with pytest.raises(BadRank, match="integers"):
         NoiseSweepSpec(ranks=(1.5,))
-    for snrs in ((30, float("nan")), (np.inf,), (-np.inf,)):
+    for snrs in ((30, float("nan")), (np.inf,), (-np.inf,), (None,), ("30",)):
         with pytest.raises(ValueError, match="snrs_db must be finite"):
             NoiseSweepSpec(snrs_db=snrs)
     for floats in ({"n": 60.5}, {"N": 3.0}, {"trials": 2.5}):
